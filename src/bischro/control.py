@@ -4,10 +4,10 @@ Steering the first N modes to rest at time T fixes N oscillatory moments
 of the control; the minimum-L^2-norm control satisfying them is an
 exponential sum over the very frequencies being steered, with weights
 solving the Gram system.  The dual route solves instead with the
-trace-weighted coercive operator and produces the same function, which
-gives a sharp cross-check.  Every synthesized control is verified by an
-independent forward solve; the reported residual is never inferred from
-the linear algebra.
+trace-weighted coercive operator, factored once by Cholesky, and
+produces the same function, which gives a sharp cross-check.  Every
+synthesized control is verified by an independent forward solve; the
+reported residual is never inferred from the linear algebra.
 """
 
 from __future__ import annotations
@@ -58,15 +58,11 @@ def moments_for_null(state0, sd, sigma_l):
     """
     if sigma_l <= 0:
         raise ValueError("sigma at the controlled end must be positive")
-    m = len(state0.coefficients)
-    traces = sd.traces[:m]
-    moments = np.zeros(m, dtype=complex)
-    excluded = []
-    for n in range(m):
-        if abs(traces[n]) < TRACE_FLOOR:
-            excluded.append(n + 1)
-            continue
-        moments[n] = 1j * state0.coefficients[n] / (sigma_l * traces[n])
+    traces = sd.traces[: len(state0.coefficients)]
+    mask = np.abs(traces) >= TRACE_FLOOR
+    moments = np.zeros(len(traces), dtype=complex)
+    moments[mask] = 1j * state0.coefficients[mask] / (sigma_l * traces[mask])
+    excluded = (np.flatnonzero(~mask) + 1).tolist()
     if excluded:
         warnings.warn(
             f"modes {excluded} have boundary traces below {TRACE_FLOOR:g} "
@@ -91,6 +87,14 @@ def _verified(sd, horizon, moments, beta, cond, method, state0, sigma_l):
     )
 
 
+def _refuse_ill_conditioned(gs, condition_cap):
+    if not np.isfinite(gs.condition_estimate) or gs.condition_estimate > condition_cap:
+        raise ConditioningError(
+            f"Gram condition {gs.condition_estimate:.3e} exceeds cap "
+            f"{condition_cap:.3e}; increase the horizon or reduce the mode count"
+        )
+
+
 def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP):
     """Minimum-norm exponential-sum control meeting the given moments.
 
@@ -105,11 +109,7 @@ def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP)
         raise ValueError(f"moment count must lie in [1, trusted_count={sd.trusted_count}]")
     lam = sd.eigenvalues[:N]
     gs = gram(lam, horizon)
-    if not np.isfinite(gs.condition_estimate) or gs.condition_estimate > condition_cap:
-        raise ConditioningError(
-            f"Gram condition {gs.condition_estimate:.3e} exceeds cap "
-            f"{condition_cap:.3e}; increase the horizon or reduce the mode count"
-        )
+    _refuse_ill_conditioned(gs, condition_cap)
     beta = sla.solve(gs.matrix, moments, assume_a="her")
     sigma_l = sd.sigma_at_right_end()
     a0 = -1j * sigma_l * sd.traces[:N] * moments
@@ -133,39 +133,12 @@ def hum_operator(sd, horizon, n_modes, sigma_l):
     return sigma_l * gs.weighted
 
 
-def _conjugate_gradient(A, b, tol=1e-12, maxiter=None):
-    n = len(b)
-    maxiter = maxiter or 20 * n
-    x = np.zeros(n, dtype=complex)
-    r = b - A @ x
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0:
-        return x, True
-    for _ in range(maxiter):
-        Ap = A @ p
-        denom = np.vdot(p, Ap).real
-        if denom <= 0:
-            return x, False
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = np.vdot(r, r).real
-        if np.sqrt(rs_new) <= tol * b_norm:
-            return x, True
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, False
-
-
 def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
-                           condition_cap=CONDITION_CAP, cg_tol=1e-12,
-                           cg_maxiter=None):
+                           condition_cap=CONDITION_CAP):
     """Null control through the coercive-operator route.
 
-    Solves Lambda c = i a(0) by conjugate gradients (direct solve as
-    fallback when CG stalls) and emits f(t) = sum_k c_k t_k
+    Solves Lambda c = i a(0) by one Cholesky factorization of the
+    Hermitian positive definite operator and emits f(t) = sum_k c_k t_k
     exp(i lambda_k t), the boundary output of the free solution with
     datum sum c_k phi_k.  Verified by forward solve of the original
     state, including any modes beyond the steered range.
@@ -173,13 +146,11 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     N = int(n_modes)
     if N < 1 or N > sd.trusted_count:
         raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
-    gs = gram(sd.eigenvalues[:N], horizon)
-    if not np.isfinite(gs.condition_estimate) or gs.condition_estimate > condition_cap:
-        raise ConditioningError(
-            f"Gram condition {gs.condition_estimate:.3e} exceeds cap "
-            f"{condition_cap:.3e}; increase the horizon or reduce the mode count"
-        )
-    lam_op = hum_operator(sd, horizon, N, sigma_l)
+    if sigma_l <= 0:
+        raise ValueError("sigma at the controlled end must be positive")
+    traces = sd.traces[:N]
+    gs = gram(sd.eigenvalues[:N], horizon, traces=traces)
+    _refuse_ill_conditioned(gs, condition_cap)
     m = len(state0.coefficients)
     if m > N and np.any(state0.coefficients[N:] != 0):
         warnings.warn(
@@ -190,13 +161,9 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     rhs = np.zeros(N, dtype=complex)
     k = min(N, m)
     rhs[:k] = 1j * state0.coefficients[:k]
-    c, converged = _conjugate_gradient(lam_op, rhs, tol=cg_tol, maxiter=cg_maxiter)
-    method = "hum-cg"
-    if not converged:
-        c = sla.solve(lam_op, rhs, assume_a="her")
-        method = "hum-cg-stalled-direct-fallback"
-    beta = c * sd.traces[:N]
+    c = sla.cho_solve(sla.cho_factor(sigma_l * gs.weighted), rhs)
+    beta = c * traces
     # rhs = i a(0), so the implied moments are rhs / (sigma t_n)
-    moments = rhs / (sigma_l * sd.traces[:N])
+    moments = rhs / (sigma_l * traces)
     return _verified(sd, horizon, moments, beta, gs.condition_estimate,
-                     method, state0, sigma_l)
+                     "hum", state0, sigma_l)

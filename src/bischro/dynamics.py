@@ -249,10 +249,9 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
     if isinstance(f, ExponentialSum):
         if len(f) == 0:
             return evolve_free(state0, horizon)
-        moments = np.array([
-            np.sum(f.weights * phase_integral(f.frequencies - lam_n, horizon))
-            for lam_n in lam
-        ])
+        # row n: integral_0^T exp(i (omega_k - lambda_n) s) ds, weighted by w_k
+        phases = phase_integral(-np.subtract.outer(lam, f.frequencies), horizon)
+        moments = np.sum(phases * f.weights, axis=1)
     else:
         ts, fs = f
         ts = np.asarray(ts, dtype=float)
