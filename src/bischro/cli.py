@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -193,16 +192,9 @@ def _run_observability(config, ws, report):
     _, _, _, sd = _solve_pipeline(config, report)
     n_modes = min(config.modes, sd.trusted_count)
 
-    def cell(T):
-        return observability_constants(sd, T, n_modes)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(cell, config.horizons))
-    else:
-        results = [cell(T) for T in config.horizons]
     rows = []
-    for rep in results:
+    for T in config.horizons:
+        rep = observability_constants(sd, T, n_modes)
         if rep.resolution_failure:
             raise NumericalError(
                 f"Gram eigensolve lost positivity at T={rep.horizon:g}; "
@@ -301,7 +293,7 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent sweep cells")
+                       help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -310,7 +302,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config = parse_config(text, threads=max(1, args.threads))
+        config = parse_config(text)
         if config.kind != args.command:
             raise ConfigError(
                 [f"config kind={config.kind!r} does not match subcommand {args.command!r}"]

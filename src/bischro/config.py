@@ -11,6 +11,7 @@ the first.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
@@ -48,7 +49,6 @@ class ExperimentConfig:
     initial_coefficients: tuple = ()
     condition_cap: float = 1e12
     export_matrices: bool = False
-    threads: int = 1
 
 
 def _parse_sections(text, errors):
@@ -99,13 +99,13 @@ def _coefficient_entry(name, body, errors):
     if parsed is None:
         return None
     if key == poly_key:
-        if not isinstance(parsed, (list, tuple)) or not parsed or _non_numeric(parsed):
+        if not isinstance(parsed, (list, tuple)) or not parsed or not all(map(_is_real, parsed)):
             errors.append(f"line {lineno}: {key} must be a nonempty list of numbers")
             return None
         return {"poly": [float(v) for v in parsed]}
     ok = isinstance(parsed, (list, tuple)) and len(parsed) >= 2 and all(
         isinstance(p, (list, tuple)) and len(p) == 2
-        and all(isinstance(v, (int, float)) for v in p) for p in parsed
+        and all(_is_real(v) for v in p) for p in parsed
     )
     if not ok:
         errors.append(f"line {lineno}: {key} must be a list of at least two (x, value) pairs")
@@ -113,8 +113,10 @@ def _coefficient_entry(name, body, errors):
     return {"samples": [(float(x), float(v)) for x, v in parsed]}
 
 
-def _non_numeric(values):
-    return not all(isinstance(v, (int, float)) for v in values)
+def _is_real(value):
+    """A finite int or float literal; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _positive_int(body, key, errors, required=True, default=None):
@@ -132,7 +134,7 @@ def _positive_int(body, key, errors, required=True, default=None):
     return parsed
 
 
-def parse_config(text, threads=1):
+def parse_config(text):
     """Parse and fully validate a config, collecting all errors."""
     errors = []
     sections = _parse_sections(text, errors)
@@ -178,7 +180,7 @@ def parse_config(text, threads=1):
             parsed = _literal(value, lineno, "horizons", errors)
             if parsed is not None:
                 if not isinstance(parsed, (list, tuple)) or not parsed or not all(
-                    isinstance(v, (int, float)) and v > 0 for v in parsed
+                    _is_real(v) and v > 0 for v in parsed
                 ):
                     errors.append(f"line {lineno}: horizons must be a nonempty list of positive reals")
                 else:
@@ -191,8 +193,8 @@ def parse_config(text, threads=1):
             value, lineno = body["condition_cap"]
             parsed = _literal(value, lineno, "condition_cap", errors)
             if parsed is not None:
-                if not isinstance(parsed, (int, float)) or parsed <= 0:
-                    errors.append(f"line {lineno}: condition_cap must be positive")
+                if not _is_real(parsed) or parsed <= 0:
+                    errors.append(f"line {lineno}: condition_cap must be a positive real")
                 else:
                     condition_cap = float(parsed)
         if "export_matrices" in body:
@@ -214,7 +216,7 @@ def parse_config(text, threads=1):
         else:
             value, lineno = body["length"]
             length = _literal(value, lineno, "length", errors)
-            if length is not None and (not isinstance(length, (int, float)) or length <= 0):
+            if length is not None and (not _is_real(length) or length <= 0):
                 errors.append(f"line {lineno}: length must be a positive real, got {value}")
                 length = None
         coeffs = {name: _coefficient_entry(name, body, errors)
@@ -233,8 +235,8 @@ def parse_config(text, threads=1):
             parsed = _literal(value, lineno, "coefficients", errors)
             ok = isinstance(parsed, (list, tuple)) and parsed and all(
                 isinstance(p, (list, tuple)) and len(p) == 3
-                and isinstance(p[0], int) and p[0] >= 1
-                and all(isinstance(v, (int, float)) for v in p[1:]) for p in parsed
+                and isinstance(p[0], int) and not isinstance(p[0], bool) and p[0] >= 1
+                and all(_is_real(v) for v in p[1:]) for p in parsed
             )
             if not ok:
                 errors.append(
@@ -254,5 +256,5 @@ def parse_config(text, threads=1):
         kind=kind, elements=elements, modes=modes, horizons=horizons,
         quadrature_order=quad, output=output, profile_spec=profile_spec,
         initial_coefficients=initial, condition_cap=condition_cap,
-        export_matrices=export_matrices, threads=threads,
+        export_matrices=export_matrices,
     )

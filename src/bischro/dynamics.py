@@ -53,10 +53,6 @@ class ModalState:
             )
 
     @property
-    def basis_ref(self):
-        return self.basis.key
-
-    @property
     def frequencies(self):
         return self.basis.eigenvalues[: len(self.coefficients)]
 

@@ -118,16 +118,6 @@ class DiscreteOperator:
         return (band_submatrix(self.kband, lo, hi),
                 band_submatrix(self.mband, lo, hi))
 
-    def stiffness_dense(self, constrained=True):
-        if constrained:
-            return band_to_dense(self.constrained_bands()[0])
-        return band_to_dense(self.kband)
-
-    def mass_dense(self, constrained=True):
-        if constrained:
-            return band_to_dense(self.constrained_bands()[1])
-        return band_to_dense(self.mband)
-
     def expand(self, u):
         """Zero-pad a constrained dof vector to the full dof layout."""
         u = np.asarray(u)
@@ -188,24 +178,8 @@ class DiscreteOperator:
         out = np.sum(basis * dofs, axis=-1)
         return out[0] if scalar else out
 
-    @property
-    def trace_weights(self):
-        """Full-dof linear functional evaluating u''(length)."""
-        w = np.zeros(self.n_dof_full)
-        h = self.h
-        w[-4:] = [6.0 / h**2, 2.0 / h, -6.0 / h**2, 4.0 / h]
-        return w
 
-    def apply_stiffness(self, u, constrained=True):
-        band = self.constrained_bands()[0] if constrained else self.kband
-        return band_matvec(band, u)
-
-    def apply_mass(self, u, constrained=True):
-        band = self.constrained_bands()[1] if constrained else self.mband
-        return band_matvec(band, u)
-
-
-def assemble(profile, elements, quadrature_points=4):
+def assemble(profile, elements):
     """Assemble the banded stiffness/mass pencil on a uniform mesh.
 
     The stiffness entry pairs dofs through sigma u'' v'' + q u' v', the
@@ -219,15 +193,10 @@ def assemble(profile, elements, quadrature_points=4):
         raise ValueError(f"need at least {MIN_ELEMENTS} elements, got {elements}")
     E = int(elements)
     h = profile.length / E
-    if quadrature_points == 4:
-        xi, wref = _XI, _WREF
-    else:
-        gx, gw = np.polynomial.legendre.leggauss(quadrature_points)
-        xi, wref = (gx + 1) / 2, gw / 2
-    N, dN, d2N = hermite_shapes(xi, h)
+    N, dN, d2N = hermite_shapes(_XI, h)
     left = np.linspace(0.0, profile.length, E + 1)[:-1]
-    xq = left[:, None] + xi[None, :] * h
-    wq = wref[None, :] * h
+    xq = left[:, None] + _XI[None, :] * h
+    wq = _WREF[None, :] * h
     sig = profile.sigma(xq) * wq
     qq = profile.q(xq) * wq
     rho = profile.rho(xq) * wq
@@ -255,4 +224,5 @@ def boundary_trace(op, u):
     operator).
     """
     full = op.expand(np.asarray(u))
-    return full[-4:] @ op.trace_weights[-4:]
+    h = op.h
+    return full[-4:] @ np.array([6.0 / h**2, 2.0 / h, -6.0 / h**2, 4.0 / h])

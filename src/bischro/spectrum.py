@@ -14,7 +14,6 @@ this operator, which is what makes every mode visible from the boundary).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,13 +54,6 @@ class SpectralData:
     def count(self):
         return len(self.eigenvalues)
 
-    @property
-    def key(self):
-        digest = hashlib.sha1(
-            self.eigenvalues.tobytes() + self.traces.tobytes()
-        ).hexdigest()
-        return digest[:12]
-
     def sigma_at_right_end(self):
         p = self.op.profile
         return float(p.sigma(p.length))
@@ -100,10 +92,12 @@ def _polish_pair(kb, mb, lam, vec, sweeps=2):
     return lam, vec
 
 
-def _estimate_lambda_max(kb, mb, iterations=50):
-    """Deterministic power iteration on M^{-1} K for a residual floor."""
+def _estimate_lambda_max(kb, mb, cb, iterations=50):
+    """Deterministic power iteration on M^{-1} K for a residual floor.
+
+    ``cb`` is the lower banded Cholesky factor of ``mb``.
+    """
     n = kb.shape[1]
-    cb = sla.cholesky_banded(mb, lower=True)
     x = np.ones(n)
     x[::2] = -1.0
     x /= np.linalg.norm(x)
@@ -139,10 +133,11 @@ def solve_spectrum(op, count):
     except sla.LinAlgError as exc:
         raise NumericalError("mass matrix is not positive definite") from exc
 
-    K = band_to_dense(kb)
-    M = band_to_dense(mb)
-    w, v = sla.eigh(K, M, subset_by_index=(0, count - 1))
-    del K, M
+    # band_to_dense mirrors both triangles, so the transposes hold the same
+    # values as F-contiguous views and LAPACK factors them in place
+    w, v = sla.eigh(band_to_dense(kb).T, band_to_dense(mb).T,
+                    subset_by_index=(0, count - 1),
+                    overwrite_a=True, overwrite_b=True)
     if w[0] <= 0:
         raise NumericalError(f"nonpositive eigenvalue {w[0]:.6e} returned")
 
@@ -178,7 +173,7 @@ def solve_spectrum(op, count):
             t = -t
         traces[i] = t
 
-    lam_max = _estimate_lambda_max(kb, mb)
+    lam_max = _estimate_lambda_max(kb, mb, cb)
     eps = np.finfo(float).eps
     floor = RESIDUAL_FLOOR_FACTOR * eps * lam_max
     residuals = np.empty(count)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bischro import ConfigError, parse_config
+from bischro import ConfigError, assemble, build_profile, parse_config
 from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 MINIMAL = """
@@ -167,6 +167,30 @@ coefficients = [(1, 1.0, 0.0), (2, 1.0, 0.0)]
 """
 
 
+@pytest.mark.parametrize("old, new", [
+    ("horizons = [0.5]", "horizons = [True]"),
+    ("horizons = [0.5]", "horizons = [1e999]"),
+    ("horizons = [0.5]", "horizons = [0.5]\ncondition_cap = True"),
+    ("horizons = [0.5]", "horizons = [0.5]\ncondition_cap = 1e999"),
+    ("length = 1.0", "length = True"),
+    ("rho_poly = [1.0]", "rho_poly = [True]"),
+    ("rho_poly = [1.0]", "rho_poly = [1.0, -1e999]"),
+    ("sigma_poly = [1.0]", "sigma_samples = [(0.0, 1.0), (True, 1.0)]"),
+    ("sigma_poly = [1.0]", "sigma_samples = [(0.0, 1.0), (1.0, 1e999)]"),
+    ("(2, 1.0, 0.0)", "(True, 1.0, 0.0)"),
+    ("(2, 1.0, 0.0)", "(2, 1e999, 0.0)"),
+    ("(2, 1.0, 0.0)", "(2, 1.0, False)"),
+])
+def test_cli_rejects_bools_and_nonfinite_numbers(tmp_path, capsys, old, new):
+    # the offending value sits on the last line of the replacement
+    text = CONTROL_CFG.replace(old, new)
+    bad = new.splitlines()[-1]
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if bad in line)
+    cfg = _write(tmp_path, text)
+    assert main(["control", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"line {lineno}:" in capsys.readouterr().err
+
+
 def test_cli_control_run(tmp_path, capsys):
     cfg = _write(tmp_path, CONTROL_CFG)
     out = tmp_path / "ctl"
@@ -230,10 +254,23 @@ def test_cli_initial_coefficient_out_of_range(tmp_path, capsys):
 
 
 def test_cli_export_matrices(tmp_path):
+    # the exported lower triangles rebuild both bands bit for bit
     text = MINIMAL.replace("modes = 6", "modes = 6\nexport_matrices = true")
+    text = text.replace("rho_poly = [1.0]", "rho_poly = [1.0, 1.0]")
+    text = text.replace("q_poly = [0.0]", "q_poly = [0.0, 1.0, -1.0]")
     cfg = _write(tmp_path, text)
     out = tmp_path / "mats"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    lines = (out / "stiffness.csv").read_text().splitlines()
-    assert lines[1] == "row,col,value"
-    assert (out / "mass.csv").exists()
+    config = parse_config(text)
+    op = assemble(build_profile(config.profile_spec), config.elements)
+    for name, band in (("stiffness", op.kband), ("mass", op.mband)):
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        assert lines[:2] == ["# schema: matrix-v1", "row,col,value"]
+        entries = [line.split(",") for line in lines[2:]]
+        keys = [(int(r), int(c)) for r, c, _ in entries]
+        assert keys == sorted(keys)
+        assert all(r >= c for r, c in keys)
+        rebuilt = np.zeros_like(band)
+        for (r, c), (_, _, v) in zip(keys, entries):
+            rebuilt[r - c, c] = float(v)
+        assert np.array_equal(rebuilt, band)
