@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from ._blas import serial_blas
 from .dynamics import ExponentialSum, evolve_controlled, modal_state, sobolev_norm
 from .observability import gram
 
@@ -95,6 +96,7 @@ def _refuse_ill_conditioned(gs, condition_cap):
         )
 
 
+@serial_blas
 def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP):
     """Minimum-norm exponential-sum control meeting the given moments.
 
@@ -133,6 +135,7 @@ def hum_operator(sd, horizon, n_modes, sigma_l):
     return sigma_l * gs.weighted
 
 
+@serial_blas
 def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
                            condition_cap=CONDITION_CAP):
     """Null control through the coercive-operator route.

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from ._blas import serial_blas
 from .dynamics import phase_integral
 from .reports import ReportTable
 
@@ -35,6 +36,7 @@ class GramSystem:
     condition_estimate: float
 
 
+@serial_blas
 def gram(lambdas, horizon, traces=None):
     """Exponential Gram matrix on (0, horizon), closed-form entries.
 
@@ -99,6 +101,7 @@ class ObservabilityReport:
     resolution_failure: bool
 
 
+@serial_blas
 def observability_constants(sd, horizon, n_modes):
     """Extreme eigenvalues of the weight-normalized trace Gram.
 

@@ -151,6 +151,20 @@ def test_phase_integral_against_quadrature():
         assert phase_integral(omega, 0.8) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+def test_phase_integral_array_matches_scalar_calls_bitwise():
+    # zero, series-branch (|omega T| < 1e-2) and closed-form entries mixed
+    T = 0.7
+    omega = np.array([[0.0, 1e-9, -3e-3, 0.0142],
+                      [-0.0143, 2.5, -431.0, 1e6]])
+    out = phase_integral(omega, T)
+    assert out.shape == omega.shape
+    for idx, w in np.ndenumerate(omega):
+        single = phase_integral(w, T)
+        assert isinstance(single, complex)
+        assert single == out[idx]
+    assert phase_integral(np.array(0.0), T) == complex(T)
+
+
 def test_filon_matches_closed_form_for_exponential():
     T = 2.0
     ts = np.linspace(0, T, 4001)
@@ -246,6 +260,20 @@ def test_tabulated_control_matches_closed_form(sd_const_128):
     exact = evolve_controlled(state, sd, 2.0, f, T)
     ts = np.linspace(0, T, 3001)
     tab = evolve_controlled(state, sd, 2.0, (ts, f(ts)), T)
+    assert tab.coefficients == pytest.approx(exact.coefficients, rel=1e-8)
+
+
+def test_tabulated_control_high_frequency_modes(sd_const_128):
+    # modes at 1e5..1e6 sampled near the 20-per-period minimum: every panel
+    # advances the phase by ~0.6 rad, over ~8e4 panels per mode
+    lambdas = np.array([1.1e5, 4.3e5, 9.7e5])
+    sd = synthetic_basis(sd_const_128, lambdas, np.array([1.0, -2.0, 3.5]))
+    f = ExponentialSum(np.array([0.0, 40.0, 350.0]), np.array([1.0, -0.5j, 0.25]))
+    T = 0.05
+    state = modal_state(sd, np.zeros(3))  # the final state is the moment term alone
+    exact = evolve_controlled(state, sd, 1.3, f, T)
+    ts = np.linspace(0, T, 160001)
+    tab = evolve_controlled(state, sd, 1.3, (ts, f(ts)), T)
     assert tab.coefficients == pytest.approx(exact.coefficients, rel=1e-8)
 
 
