@@ -29,9 +29,6 @@ from .coefficients import WaveGeometry
 from .reports import ReportTable
 
 ROOT_RESIDUAL_TOL = 1e-10
-# The literal product form loses absolute accuracy like eps * exp(mu gamma)
-# (and overflows outright near 355), so the rearranged path takes over early.
-_STABLE_SWITCH = 12.0
 
 
 def _gamma_of(geometry):
@@ -77,26 +74,17 @@ def characteristic_roots(geometry, count):
 
 @dataclass(frozen=True)
 class AsymptoticModel:
-    """Characteristic roots plus the spacing and gap reference constants."""
+    """Characteristic roots with their scaled residuals."""
 
     geometry: WaveGeometry
     mu_tilde: np.ndarray
     residuals: np.ndarray
-    spacing: float
-    gap_constant: float
 
 
 def asymptotic_model(geometry, count):
     mu = characteristic_roots(geometry, count)
-    gamma = _gamma_of(geometry)
-    res = np.abs(_char_scaled(mu * gamma))
-    return AsymptoticModel(
-        geometry=geometry,
-        mu_tilde=mu,
-        residuals=res,
-        spacing=np.pi / gamma,
-        gap_constant=(np.pi / gamma) ** 4,
-    )
+    res = np.abs(_char_scaled(mu * _gamma_of(geometry)))
+    return AsymptoticModel(geometry=geometry, mu_tilde=mu, residuals=res)
 
 
 def index_offset(sd, geometry):
@@ -162,9 +150,8 @@ def eigenfunction_asymptote(model, n, x):
     mu is a characteristic root).  The literal product cancels terms of
     size cosh(mu gamma)^2, losing absolute accuracy like
     eps * exp(mu gamma) and overflowing outright for mu gamma beyond 355,
-    so past the switch the combination is rearranged into scaled
-    exponentials whose exponents are all nonpositive; the two paths agree
-    to roundoff below the switch.
+    so the combination is evaluated rearranged into scaled exponentials
+    whose exponents are all nonpositive, which is valid at every index.
     """
     if not isinstance(model, AsymptoticModel):
         raise TypeError("eigenfunction_asymptote expects an AsymptoticModel")
@@ -179,20 +166,14 @@ def eigenfunction_asymptote(model, n, x):
     a = mu * gamma
     b = mu * np.atleast_1d(geo.phase(xv))
     pref = 2.0 * geo.amplitude(xv) / gamma
-    if a <= _STABLE_SWITCH:
-        comb = np.exp(-a) * (
-            (np.cos(a) - np.cosh(a)) * (np.cos(b) - np.cosh(b))
-            + (np.sin(a) + np.sinh(a)) * (np.sin(b) - np.sinh(b))
-        )
-    else:
-        comb = (
-            np.exp(-a) * np.cos(a - b)
-            + 0.5 * (np.exp(-b) + np.exp(b - 2 * a))
-            - np.cos(a) * 0.5 * (np.exp(b - a) + np.exp(-a - b))
-            - np.sin(a) * 0.5 * (np.exp(b - a) - np.exp(-a - b))
-            + np.sin(b) * 0.5 * (1.0 - np.exp(-2 * a))
-            - np.cos(b) * 0.5 * (1.0 + np.exp(-2 * a))
-        )
+    comb = (
+        np.exp(-a) * np.cos(a - b)
+        + 0.5 * (np.exp(-b) + np.exp(b - 2 * a))
+        - np.cos(a) * 0.5 * (np.exp(b - a) + np.exp(-a - b))
+        - np.sin(a) * 0.5 * (np.exp(b - a) - np.exp(-a - b))
+        + np.sin(b) * 0.5 * (1.0 - np.exp(-2 * a))
+        - np.cos(b) * 0.5 * (1.0 + np.exp(-2 * a))
+    )
     out = pref * comb
     return float(out[0]) if scalar else out
 

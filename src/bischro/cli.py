@@ -4,9 +4,11 @@ Five subcommands (spectrum, asymptotics, observability, control,
 simulate) share one config format; the subcommand must match the
 config's ``kind``.  Every output file starts with a ``# schema:`` line
 and a header row, floats are printed with 17 significant digits, and no
-timestamps enter the files, so identical configs produce byte-identical
-artifacts.  On failure all partially written files are removed and the
-exit code tells the failure class apart:
+timestamps enter the files, so identical configs run at the same BLAS
+thread count produce byte-identical artifacts (the threaded dense
+eigensolve moves the last bits of the spectrum with the thread count).
+On failure all partially written files are removed and the exit code
+tells the failure class apart:
 
     0  success
     2  configuration or profile error
@@ -123,14 +125,12 @@ class _Workspace:
 
 def _solve_pipeline(config, report):
     t0 = time.perf_counter()
-    profile = build_profile(config.profile_spec)
-    geo = geometry(profile, config.quadrature_order)
-    op = assemble(profile, config.elements)
+    op = assemble(build_profile(config.profile_spec), config.elements)
     report.timings["assemble"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     sd = solve_spectrum(op, config.modes)
     report.timings["eigensolve"] = time.perf_counter() - t0
-    return profile, geo, op, sd
+    return sd
 
 
 def _initial_state(config, sd):
@@ -159,7 +159,7 @@ def _export_matrices(ws, op):
 
 
 def _run_spectrum(config, ws, report):
-    _, _, op, sd = _solve_pipeline(config, report)
+    sd = _solve_pipeline(config, report)
     rows = [
         (n + 1, sd.eigenvalues[n], sd.wavenumbers[n], sd.traces[n], sd.residuals[n])
         for n in range(sd.count)
@@ -172,11 +172,13 @@ def _run_spectrum(config, ws, report):
         "failures": check.failures,
     })
     if config.export_matrices:
-        _export_matrices(ws, op)
+        _export_matrices(ws, sd.op)
 
 
 def _run_asymptotics(config, ws, report):
-    profile, geo, _, sd = _solve_pipeline(config, report)
+    sd = _solve_pipeline(config, report)
+    profile = sd.op.profile
+    geo = geometry(profile, config.quadrature_order)
     for table, fname in (
         (spacing_report(sd, geo), "spacing.csv"),
         (gap_report(sd, geo), "gap.csv"),
@@ -189,7 +191,7 @@ def _run_asymptotics(config, ws, report):
 
 
 def _run_observability(config, ws, report):
-    _, _, _, sd = _solve_pipeline(config, report)
+    sd = _solve_pipeline(config, report)
     n_modes = min(config.modes, sd.trusted_count)
 
     rows = []
@@ -208,10 +210,8 @@ def _run_observability(config, ws, report):
 
 
 def _run_control(config, ws, report):
-    if len(config.horizons) != 1:
-        raise ConfigError(["kind=control needs exactly one horizon"])
     T = config.horizons[0]
-    _, _, _, sd = _solve_pipeline(config, report)
+    sd = _solve_pipeline(config, report)
     state0 = _initial_state(config, sd)
     sigma_l = sd.sigma_at_right_end()
     t0 = time.perf_counter()
@@ -247,7 +247,7 @@ def _run_control(config, ws, report):
 
 
 def _run_simulate(config, ws, report):
-    _, _, _, sd = _solve_pipeline(config, report)
+    sd = _solve_pipeline(config, report)
     state0 = _initial_state(config, sd)
     for k, T in enumerate(config.horizons):
         state = evolve_free(state0, T)

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .coefficients import DEFAULT_ORDER
+from .control import CONDITION_CAP
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
 
@@ -46,9 +49,9 @@ class ExperimentConfig:
     quadrature_order: int
     output: str
     profile_spec: dict
-    initial_coefficients: tuple = ()
-    condition_cap: float = 1e12
-    export_matrices: bool = False
+    initial_coefficients: tuple
+    condition_cap: float
+    export_matrices: bool
 
 
 def _parse_sections(text, errors):
@@ -158,7 +161,7 @@ def parse_config(text):
     elements = modes = quad = None
     horizons = ()
     output = "out"
-    condition_cap = 1e12
+    condition_cap = CONDITION_CAP
     export_matrices = False
     if exp is not None:
         body = exp[2]
@@ -174,7 +177,11 @@ def parse_config(text):
             errors.append("missing required experiment key 'kind'")
         elements = _positive_int(body, "elements", errors)
         modes = _positive_int(body, "modes", errors)
-        quad = _positive_int(body, "quadrature_order", errors, required=False, default=4)
+        quad = _positive_int(body, "quadrature_order", errors, required=False,
+                             default=DEFAULT_ORDER)
+        if quad < 2:
+            lineno = body["quadrature_order"][1]
+            errors.append(f"line {lineno}: quadrature_order must be at least 2, got {quad}")
         if "horizons" in body:
             value, lineno = body["horizons"]
             parsed = _literal(value, lineno, "horizons", errors)
@@ -183,6 +190,9 @@ def parse_config(text):
                     _is_real(v) and v > 0 for v in parsed
                 ):
                     errors.append(f"line {lineno}: horizons must be a nonempty list of positive reals")
+                elif kind == "control" and len(parsed) != 1:
+                    errors.append(f"line {lineno}: kind=control needs exactly one horizon, "
+                                  f"got {len(parsed)}")
                 else:
                     horizons = tuple(float(v) for v in parsed)
         elif kind in ("observability", "control", "simulate"):

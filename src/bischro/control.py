@@ -120,19 +120,23 @@ def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP)
                      "moment", state0, sigma_l)
 
 
+def _trace_gram(sd, horizon, n_modes, sigma_l):
+    """Trace-weighted Gram of the first ``n_modes`` modes, arguments checked."""
+    N = int(n_modes)
+    if N < 1 or N > sd.trusted_count:
+        raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
+    if sigma_l <= 0:
+        raise ValueError("sigma at the controlled end must be positive")
+    return gram(sd.eigenvalues[:N], horizon, traces=sd.traces[:N])
+
+
 def hum_operator(sd, horizon, n_modes, sigma_l):
     """Trace-weighted coercive operator sigma(ell) t_m t_n G[m, n].
 
     Represents the boundary-output energy quadratic form in modal
     coordinates; Hermitian positive definite for distinct frequencies.
     """
-    N = int(n_modes)
-    if N < 1 or N > sd.trusted_count:
-        raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
-    if sigma_l <= 0:
-        raise ValueError("sigma at the controlled end must be positive")
-    gs = gram(sd.eigenvalues[:N], horizon, traces=sd.traces[:N])
-    return sigma_l * gs.weighted
+    return sigma_l * _trace_gram(sd, horizon, n_modes, sigma_l).weighted
 
 
 @serial_blas
@@ -146,14 +150,10 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     datum sum c_k phi_k.  Verified by forward solve of the original
     state, including any modes beyond the steered range.
     """
-    N = int(n_modes)
-    if N < 1 or N > sd.trusted_count:
-        raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
-    if sigma_l <= 0:
-        raise ValueError("sigma at the controlled end must be positive")
-    traces = sd.traces[:N]
-    gs = gram(sd.eigenvalues[:N], horizon, traces=traces)
+    gs = _trace_gram(sd, horizon, n_modes, sigma_l)
     _refuse_ill_conditioned(gs, condition_cap)
+    N = int(n_modes)
+    traces = sd.traces[:N]
     m = len(state0.coefficients)
     if m > N and np.any(state0.coefficients[N:] != 0):
         warnings.warn(

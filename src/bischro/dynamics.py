@@ -75,8 +75,6 @@ def project_initial(sd, y0, derivative=None):
     truncated reconstruction.
     """
     op = sd.op
-    if op is None:
-        raise ValueError("spectral data carries no discrete operator")
     if callable(y0):
         dofs = op.interpolate(y0, derivative)
     elif isinstance(y0, tuple) and len(y0) == 2:
@@ -96,13 +94,8 @@ def project_initial(sd, y0, derivative=None):
                 f"width {op.h:.3g}; provide at least {need} samples"
             )
         from scipy.interpolate import CubicSpline
-        if np.iscomplexobj(vals):
-            sr, si = CubicSpline(xs, vals.real), CubicSpline(xs, vals.imag)
-            dofs = op.interpolate(lambda x: sr(x) + 1j * si(x),
-                                  lambda x: sr(x, 1) + 1j * si(x, 1))
-        else:
-            spl = CubicSpline(xs, vals)
-            dofs = op.interpolate(spl, lambda x: spl(x, 1))
+        spl = CubicSpline(xs, vals)
+        dofs = op.interpolate(spl, lambda x: spl(x, 1))
     else:
         dofs = op.expand(np.asarray(y0))
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import phase_integral
+from .dynamics import ExponentialSum, phase_integral
 from .reports import ReportTable
 
 
@@ -29,8 +29,6 @@ from .reports import ReportTable
 class GramSystem:
     """Hermitian matrix G[m, n] = integral_0^T exp(i (lambda_n - lambda_m) t) dt."""
 
-    horizon: float
-    frequencies: np.ndarray
     matrix: np.ndarray = field(repr=False)
     weighted: np.ndarray | None = field(repr=False)
     condition_estimate: float
@@ -73,8 +71,7 @@ def gram(lambdas, horizon, traces=None):
         if t.shape != lam.shape:
             raise ValueError("traces must match lambdas in length")
         weighted = np.outer(t, t) * G
-    return GramSystem(horizon=T, frequencies=lam, matrix=G,
-                      weighted=weighted, condition_estimate=cond)
+    return GramSystem(matrix=G, weighted=weighted, condition_estimate=cond)
 
 
 def boundary_output(state, sd, t):
@@ -82,9 +79,7 @@ def boundary_output(state, sd, t):
     if state.basis is not sd:
         raise ValueError("state and spectral data refer to different bases")
     lam = state.frequencies
-    tr = sd.traces[: len(lam)]
-    t = np.asarray(t, dtype=float)
-    out = np.exp(1j * np.multiply.outer(t, lam)) @ (state.coefficients * tr)
+    out = ExponentialSum(lam, state.coefficients * sd.traces[: len(lam)])(t)
     return out if out.shape else complex(out)
 
 

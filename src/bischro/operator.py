@@ -148,13 +148,7 @@ class DiscreteOperator:
         else:
             from scipy.interpolate import CubicSpline
             dense = np.linspace(0.0, self.profile.length, 4 * self.n_elements + 1)
-            fd = np.asarray(f(dense))
-            if np.iscomplexobj(fd):
-                spl_r = CubicSpline(dense, fd.real)
-                spl_i = CubicSpline(dense, fd.imag)
-                slopes = spl_r(xs, 1) + 1j * spl_i(xs, 1)
-            else:
-                slopes = CubicSpline(dense, fd)(xs, 1)
+            slopes = CubicSpline(dense, np.asarray(f(dense)))(xs, 1)
         dtype = complex if np.iscomplexobj(vals) or np.iscomplexobj(slopes) else float
         u = np.empty(self.n_dof_full, dtype=dtype)
         u[0::2] = vals

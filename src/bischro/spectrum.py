@@ -22,6 +22,11 @@ import scipy.linalg as sla
 from .operator import DiscreteOperator, band_matvec, band_to_dense, boundary_trace
 
 RESIDUAL_TOL = 1e-8
+# validate_spectrum flags: relative neighbor gap, right-end trace magnitude
+# and deviation of the mode Gram from the identity
+GAP_TOL = 1e-8
+TRACE_FLOOR = 1e-6
+ORTHO_TOL = 1e-10
 # Multiplier on eps * lambda_max for the float64-attainable part of the
 # residual gate; see solve_spectrum.
 RESIDUAL_FLOOR_FACTOR = 256.0
@@ -38,8 +43,9 @@ class SpectralData:
     ``eigenvalues`` ascend strictly, ``wavenumbers`` are their quartic
     roots, ``modes`` (constrained dofs, one column per mode) are
     M-orthonormal, ``traces`` hold the right-end curvature of each mode,
-    and ``trusted_count`` caps the indices certified against
-    discretization error (elements / 10 rule).
+    ``trusted_count`` caps the indices certified against
+    discretization error (elements / 10 rule), and ``op`` is the pencil
+    they were computed from.
     """
 
     eigenvalues: np.ndarray
@@ -48,7 +54,7 @@ class SpectralData:
     traces: np.ndarray
     residuals: np.ndarray
     trusted_count: int
-    op: DiscreteOperator | None = None
+    op: DiscreteOperator
 
     @property
     def count(self):
@@ -215,30 +221,25 @@ class SpectrumValidation:
     rows: list
     failures: list
     passed: bool
-    gap_tol: float
-    trace_floor: float
-    ortho_tol: float
 
 
-def validate_spectrum(sd, gap_tol=1e-8, trace_floor=1e-6, ortho_tol=1e-10):
+def validate_spectrum(sd):
     """Per-mode report of simplicity, trace nonvanishing and orthonormality.
 
     Checks run up to ``trusted_count``.  A mode fails on ``positivity``
     if its eigenvalue is nonpositive, on ``simplicity`` if the relative
-    gap to either neighbor drops below ``gap_tol``, on ``trace`` if the
-    right-end curvature magnitude is below ``trace_floor``, and on
-    ``orthonormality`` if its Gram row deviates from the identity.
+    gap to either neighbor drops below GAP_TOL, on ``trace`` if the
+    right-end curvature magnitude is below TRACE_FLOOR, and on
+    ``orthonormality`` if its Gram row deviates from the identity by
+    more than ORTHO_TOL.
     """
     if sd.count == 0:
         raise ValueError("empty spectrum")
     n = min(sd.trusted_count, sd.count)
     lam = sd.eigenvalues
-    gram_dev = None
-    if sd.op is not None and sd.modes.size:
-        _, mb = sd.op.constrained_bands()
-        mv = np.column_stack([band_matvec(mb, sd.modes[:, j]) for j in range(sd.count)])
-        gram = sd.modes.T @ mv
-        gram_dev = np.abs(gram - np.eye(sd.count))
+    _, mb = sd.op.constrained_bands()
+    mv = np.column_stack([band_matvec(mb, sd.modes[:, j]) for j in range(sd.count)])
+    gram_dev = np.abs(sd.modes.T @ mv - np.eye(sd.count))
 
     rows = []
     failures = []
@@ -253,13 +254,13 @@ def validate_spectrum(sd, gap_tol=1e-8, trace_floor=1e-6, ortho_tol=1e-10):
         if i + 1 < sd.count:
             gaps.append((lam[i + 1] - lam[i]) / lam[i + 1])
         rel_gap = min(gaps) if gaps else np.inf
-        if rel_gap < gap_tol:
+        if rel_gap < GAP_TOL:
             flags.append("simplicity")
         t_abs = abs(sd.traces[i])
-        if t_abs < trace_floor:
+        if t_abs < TRACE_FLOOR:
             flags.append("trace")
-        ortho = float(gram_dev[i].max()) if gram_dev is not None else 0.0
-        if ortho > ortho_tol:
+        ortho = float(gram_dev[i].max())
+        if ortho > ORTHO_TOL:
             flags.append("orthonormality")
         rows.append(ModeCheck(
             index=i + 1, eigenvalue=float(lam[i]), positive=positive,
@@ -267,7 +268,4 @@ def validate_spectrum(sd, gap_tol=1e-8, trace_floor=1e-6, ortho_tol=1e-10):
             ortho_residual=ortho, flags=tuple(flags),
         ))
         failures.extend(f"mode {i + 1}: {f}" for f in flags)
-    return SpectrumValidation(
-        rows=rows, failures=failures, passed=not failures,
-        gap_tol=gap_tol, trace_floor=trace_floor, ortho_tol=ortho_tol,
-    )
+    return SpectrumValidation(rows=rows, failures=failures, passed=not failures)

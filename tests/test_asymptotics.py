@@ -150,26 +150,22 @@ def test_eigenfunction_asymptote_matches_computed_mode(sd_const_512, const_geome
     assert corr >= 0.999
 
 
-def test_asymptote_paths_agree_across_switch(const_geometry):
-    from bischro.asymptotics import _STABLE_SWITCH
+def test_asymptote_matches_literal_formula_at_low_index(const_geometry):
+    # below mu gamma = 12 the literal product loses nothing to cancellation,
+    # so it is a faithful reference for the rearranged evaluation
     model = asymptotic_model(const_geometry, 16)
     xs = np.linspace(0, 1, 23)
+    gamma = const_geometry.optical_length
     for n in (1, 2, 3):
-        mu_gamma = model.mu_tilde[n - 1] * const_geometry.optical_length
-        assert mu_gamma < _STABLE_SWITCH
-        direct = eigenfunction_asymptote(model, n, xs)
-        stable = _stable_path(model, n, xs)
-        assert stable == pytest.approx(direct, rel=1e-10, abs=1e-11)
-
-
-def _stable_path(model, n, xs):
-    import bischro.asymptotics as asym
-    old = asym._STABLE_SWITCH
-    asym._STABLE_SWITCH = -1.0
-    try:
-        return eigenfunction_asymptote(model, n, xs)
-    finally:
-        asym._STABLE_SWITCH = old
+        a = model.mu_tilde[n - 1] * gamma
+        assert a < 12.0
+        b = model.mu_tilde[n - 1] * const_geometry.phase(xs)
+        literal = (2.0 * const_geometry.amplitude(xs) / gamma) * np.exp(-a) * (
+            (np.cos(a) - np.cosh(a)) * (np.cos(b) - np.cosh(b))
+            + (np.sin(a) + np.sinh(a)) * (np.sin(b) - np.sinh(b))
+        )
+        assert eigenfunction_asymptote(model, n, xs) == pytest.approx(
+            literal, rel=1e-10, abs=1e-11)
 
 
 def test_asymptote_no_overflow_at_high_index(const_geometry):

@@ -180,6 +180,8 @@ coefficients = [(1, 1.0, 0.0), (2, 1.0, 0.0)]
     ("(2, 1.0, 0.0)", "(True, 1.0, 0.0)"),
     ("(2, 1.0, 0.0)", "(2, 1e999, 0.0)"),
     ("(2, 1.0, 0.0)", "(2, 1.0, False)"),
+    ("horizons = [0.5]", "horizons = [0.5, 1.0]"),
+    ("horizons = [0.5]", "horizons = [0.5]\nquadrature_order = 1"),
 ])
 def test_cli_rejects_bools_and_nonfinite_numbers(tmp_path, capsys, old, new):
     # the offending value sits on the last line of the replacement
@@ -189,6 +191,7 @@ def test_cli_rejects_bools_and_nonfinite_numbers(tmp_path, capsys, old, new):
     cfg = _write(tmp_path, text)
     assert main(["control", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"line {lineno}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_control_run(tmp_path, capsys):

@@ -84,6 +84,30 @@ def test_project_samples_and_resampling_guard(sd_const_128):
         project_initial(sd, (short, np.sin(np.pi * short)))
 
 
+def test_project_complex_data_splits_into_real_parts(sd_const_128):
+    # complex samples and a complex callable without derivative go through
+    # complex splines; the projection must be complex-linear (relative to
+    # the coefficient norm: the small trailing coefficients carry the
+    # roundoff of the leading ones)
+    sd = sd_const_128
+    xs = np.linspace(0, 1, 4 * sd.op.n_elements + 1)
+
+    def fr(x):
+        return np.sin(np.pi * x) ** 2 * x
+
+    def fi(x):
+        return x**2 * (1 - x) ** 3
+
+    def check(project):
+        re = project(fr).coefficients
+        im = project(fi).coefficients
+        both = project(lambda x: fr(x) + 1j * fi(x)).coefficients
+        assert np.linalg.norm(both - (re + 1j * im)) <= 1e-14 * np.linalg.norm(both)
+
+    check(lambda f: project_initial(sd, (xs, f(xs))))
+    check(lambda f: project_initial(sd, f))
+
+
 # ---- free evolution and norms --------------------------------------------
 
 def test_evolve_free_identity_at_zero(sd_const_128, rng):
