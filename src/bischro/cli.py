@@ -7,11 +7,13 @@ and a header row, floats are printed with 17 significant digits, and no
 timestamps enter the files, so identical configs run at the same BLAS
 thread count produce byte-identical artifacts (the threaded dense
 eigensolve moves the last bits of the spectrum with the thread count).
-On failure all partially written files are removed and the exit code
-tells the failure class apart:
+Every file is rendered before the first one is written, so a failing
+run writes nothing; if a write fails, the files and directories the run
+created are removed.  The exit code tells the failure class apart:
 
     0  success
-    2  configuration or profile error
+    2  configuration or profile error, or an output file that cannot be
+       written
     3  numerical failure (assembly, eigensolve, sampling)
     4  conditioning refusal (Gram condition above the cap)
 """
@@ -22,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +34,7 @@ from .coefficients import ProfileError, build_profile, geometry
 from .config import ConfigError, parse_config
 from .control import ConditioningError, moments_for_null, synthesize_hum_control, \
     synthesize_moment_control
-from .dynamics import CoarseSamplingError, ExponentialSum, ResamplingError, \
-    evolve_free, modal_state
+from .dynamics import ExponentialSum, evolve_free, modal_state
 from .observability import observability_constants
 from .operator import assemble
 from .spectrum import NumericalError, solve_spectrum, validate_spectrum
@@ -52,27 +53,23 @@ def _fmt(value):
     return f"{float(value):.17g}"
 
 
-def write_csv(path, schema_name, columns, rows):
+def _csv(schema_name, columns, rows):
     lines = [f"# schema: {schema_name}-{SCHEMA_VERSION}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _json_default(obj):
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json(schema_name, payload):
+    doc = {"schema": f"{schema_name}-{SCHEMA_VERSION}", **payload}
+    return json.dumps(doc, sort_keys=True, indent=1, default=_json_default) + "\n"
 
 
 @dataclass
@@ -91,48 +88,6 @@ class RunReport:
         return out
 
 
-class _Workspace:
-    """Tracks written files so a failing run leaves no partial outputs."""
-
-    def __init__(self, outdir):
-        self.outdir = Path(outdir)
-        self.written = []
-
-    def prepare(self):
-        self.outdir.mkdir(parents=True, exist_ok=True)
-
-    def csv(self, name, schema_name, columns, rows):
-        path = self.outdir / name
-        write_csv(path, schema_name, columns, rows)
-        self.written.append(path)
-        return path
-
-    def json(self, name, schema_name, payload):
-        path = self.outdir / name
-        doc = {"schema": f"{schema_name}-{SCHEMA_VERSION}", **_jsonify(payload)}
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="ascii")
-        self.written.append(path)
-        return path
-
-    def discard_all(self):
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.written.clear()
-
-
-def _solve_pipeline(config, report):
-    t0 = time.perf_counter()
-    op = assemble(build_profile(config.profile_spec), config.elements)
-    report.timings["assemble"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sd = solve_spectrum(op, config.modes)
-    report.timings["eigensolve"] = time.perf_counter() - t0
-    return sd
-
-
 def _initial_state(config, sd):
     coeff = np.zeros(min(config.modes, sd.trusted_count), dtype=complex)
     for n, re, im in config.initial_coefficients:
@@ -145,7 +100,8 @@ def _initial_state(config, sd):
     return modal_state(sd, coeff)
 
 
-def _export_matrices(ws, op):
+def _export_matrices(op):
+    files = {}
     for name, band in (("stiffness", op.kband), ("mass", op.mband)):
         rows = []
         n = band.shape[1]
@@ -155,16 +111,16 @@ def _export_matrices(ws, op):
                 if v != 0.0:
                     rows.append((j + d, j, v))
         rows.sort()
-        ws.csv(f"{name}.csv", "matrix", ("row", "col", "value"), rows)
+        files[f"{name}.csv"] = _csv("matrix", ("row", "col", "value"), rows)
+    return files
 
 
-def _run_spectrum(config, ws, report):
-    sd = _solve_pipeline(config, report)
+def _run_spectrum(config, sd, report):
     rows = [
         (n + 1, sd.eigenvalues[n], sd.wavenumbers[n], sd.traces[n], sd.residuals[n])
         for n in range(sd.count)
     ]
-    ws.csv("spectrum.csv", "spectrum", ("n", "lambda", "mu", "trace", "residual"), rows)
+    files = {"spectrum.csv": _csv("spectrum", ("n", "lambda", "mu", "trace", "residual"), rows)}
     check = validate_spectrum(sd)
     report.records.append({
         "modes": sd.count, "trusted": sd.trusted_count,
@@ -172,28 +128,29 @@ def _run_spectrum(config, ws, report):
         "failures": check.failures,
     })
     if config.export_matrices:
-        _export_matrices(ws, sd.op)
+        files.update(_export_matrices(sd.op))
+    return files
 
 
-def _run_asymptotics(config, ws, report):
-    sd = _solve_pipeline(config, report)
+def _run_asymptotics(config, sd, report):
     profile = sd.op.profile
     geo = geometry(profile, config.quadrature_order)
-    for table, fname in (
-        (spacing_report(sd, geo), "spacing.csv"),
-        (gap_report(sd, geo), "gap.csv"),
-        (trace_limit_report(sd, profile, geo), "trace.csv"),
-    ):
-        ws.csv(fname, table.name, table.columns, table.rows)
+    files = {
+        fname: _csv(table.name, table.columns, table.rows)
+        for table, fname in (
+            (spacing_report(sd, geo), "spacing.csv"),
+            (gap_report(sd, geo), "gap.csv"),
+            (trace_limit_report(sd, profile, geo), "trace.csv"),
+        )
+    }
     report.records.append({"optical_length": geo.optical_length,
                            "trusted": sd.trusted_count,
                            "index_offset": index_offset(sd, geo)})
+    return files
 
 
-def _run_observability(config, ws, report):
-    sd = _solve_pipeline(config, report)
+def _run_observability(config, sd, report):
     n_modes = min(config.modes, sd.trusted_count)
-
     rows = []
     for T in config.horizons:
         rep = observability_constants(sd, T, n_modes)
@@ -204,14 +161,13 @@ def _run_observability(config, ws, report):
             )
         rows.append((rep.horizon, rep.n_modes, rep.c_lower, rep.c_upper,
                      rep.gram_condition, rep.density))
-    ws.csv("observability.csv", "observability",
-           ("T", "N", "c_T", "C_T", "condition", "density_estimate"), rows)
     report.records.append({"cells": len(rows)})
+    return {"observability.csv": _csv(
+        "observability", ("T", "N", "c_T", "C_T", "condition", "density_estimate"), rows)}
 
 
-def _run_control(config, ws, report):
+def _run_control(config, sd, report):
     T = config.horizons[0]
-    sd = _solve_pipeline(config, report)
     state0 = _initial_state(config, sd)
     sigma_l = sd.sigma_at_right_end()
     t0 = time.perf_counter()
@@ -224,36 +180,39 @@ def _run_control(config, ws, report):
     dn = ExponentialSum(sol.frequencies, diff).norm(T)
     agreement = dn / sol.control_norm if sol.control_norm > 0 else 0.0
 
-    ws.json("control_report.json", "control", {
-        "T": T, "N": sol.n_modes,
-        "moments": sol.moments, "beta": sol.beta,
-        "control_norm": sol.control_norm,
-        "residual_final": sol.residual_final,
-        "gram_condition": sol.gram_condition,
-        "method": sol.method,
-        "hum_residual_final": hum.residual_final,
-        "hum_method": hum.method,
-        "hum_agreement_l2": agreement,
-    })
     ts = np.linspace(0.0, T, 2001)
     fv = sol.waveform()(ts)
-    ws.csv("control.csv", "control-waveform", ("t", "re_f", "im_f"),
-           [(t, v.real, v.imag) for t, v in zip(ts, fv)])
     report.records.append({
         "residual_final": sol.residual_final,
         "hum_agreement_l2": agreement,
         "control_norm": sol.control_norm,
     })
+    return {
+        "control_report.json": _json("control", {
+            "T": T, "N": sol.n_modes,
+            "moments": sol.moments, "beta": sol.beta,
+            "control_norm": sol.control_norm,
+            "residual_final": sol.residual_final,
+            "gram_condition": sol.gram_condition,
+            "method": sol.method,
+            "hum_residual_final": hum.residual_final,
+            "hum_method": hum.method,
+            "hum_agreement_l2": agreement,
+        }),
+        "control.csv": _csv("control-waveform", ("t", "re_f", "im_f"),
+                            [(t, v.real, v.imag) for t, v in zip(ts, fv)]),
+    }
 
 
-def _run_simulate(config, ws, report):
-    sd = _solve_pipeline(config, report)
+def _run_simulate(config, sd, report):
     state0 = _initial_state(config, sd)
+    files = {}
     for k, T in enumerate(config.horizons):
         state = evolve_free(state0, T)
         rows = [(n + 1, c.real, c.imag) for n, c in enumerate(state.coefficients)]
-        ws.csv(f"state_{k:03d}.csv", "state", ("n", "re_c", "im_c"), rows)
+        files[f"state_{k:03d}.csv"] = _csv("state", ("n", "re_c", "im_c"), rows)
     report.records.append({"snapshots": len(config.horizons)})
+    return files
 
 
 _RUNNERS = {
@@ -266,17 +225,38 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute a validated config; returns the report, cleans up on failure."""
+    """Execute a validated config, then write its files; returns the report.
+
+    Every file is rendered in memory before the first write, so a failing
+    computation writes nothing.  A failing write removes the files and
+    directories this run created, then re-raises the OSError.
+    """
     report = RunReport(kind=config.kind, schema=SCHEMA_VERSION)
-    ws = _Workspace(config.output)
-    ws.prepare()
     t0 = time.perf_counter()
+    op = assemble(build_profile(config.profile_spec), config.elements)
+    report.timings["assemble"] = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    sd = solve_spectrum(op, config.modes)
+    report.timings["eigensolve"] = time.perf_counter() - t1
+    files = _RUNNERS[config.kind](config, sd, report)
+
+    outdir = Path(config.output)
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
+    written = []
     try:
-        _RUNNERS[config.kind](config, ws, report)
-    except Exception:
-        ws.discard_all()
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = outdir / name
+            path.write_text(text, encoding="ascii")
+            written.append(path)
+    except OSError:
+        for path in written:
+            path.unlink()
+        for d in created:
+            if d.exists():  # mkdir may have failed part of the way down
+                d.rmdir()
         raise
-    report.files = [str(p) for p in ws.written]
+    report.files = [str(p) for p in written]
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -308,7 +288,6 @@ def main(argv=None):
                 [f"config kind={config.kind!r} does not match subcommand {args.command!r}"]
             )
         if args.out is not None:
-            from dataclasses import replace
             config = replace(config, output=args.out)
         report = run(config)
     except ConfigError as exc:
@@ -321,8 +300,7 @@ def main(argv=None):
     except ConditioningError as exc:
         print(f"conditioning error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
-    except (NumericalError, ResamplingError, CoarseSamplingError,
-            ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for line in report.lines():

@@ -163,6 +163,11 @@ def constant_profile(rho=1.0, sigma=1.0, q=0.0, length=1.0):
     return build_profile({"length": length, "rho": rho, "sigma": sigma, "q": q})
 
 
+def _quarter_power(profile, x):
+    """The optical-length integrand (rho/sigma)^(1/4)."""
+    return (profile.rho(x) / profile.sigma(x)) ** 0.25
+
+
 def _gauss_rule(order):
     """Gauss-Legendre nodes/weights mapped to the unit interval [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -184,14 +189,11 @@ class WaveGeometry:
     order: int
     optical_length: float
     error_estimate: float
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
     _edges: np.ndarray = field(repr=False)
     _cumulative: np.ndarray = field(repr=False)
 
     def integrand(self, x):
-        p = self.profile
-        return (p.rho(x) / p.sigma(x)) ** 0.25
+        return _quarter_power(self.profile, x)
 
     def amplitude(self, x):
         p = self.profile
@@ -228,18 +230,13 @@ def geometry(profile, quadrature_order=DEFAULT_ORDER, cells=DEFAULT_CELLS):
     def cell_integrals(order):
         gx, gw = _gauss_rule(order)
         pts = edges[:-1, None] + gx[None, :] * h
-        vals = (profile.rho(pts) / profile.sigma(pts)) ** 0.25
-        return h * (vals @ gw)
+        return h * (_quarter_power(profile, pts) @ gw), pts
 
-    base = cell_integrals(quadrature_order)
-    refined = cell_integrals(2 * quadrature_order)
+    base, nodes = cell_integrals(quadrature_order)
+    refined, _ = cell_integrals(2 * quadrature_order)
     total = float(np.sum(base))
     estimate = float(np.abs(np.sum(refined) - np.sum(base)))
     cumulative = np.concatenate([[0.0], np.cumsum(base)])
-
-    gx, gw = _gauss_rule(quadrature_order)
-    nodes = (edges[:-1, None] + gx[None, :] * h).ravel()
-    weights = np.tile(gw * h, cells)
 
     geo = WaveGeometry(
         profile=profile,
@@ -247,8 +244,6 @@ def geometry(profile, quadrature_order=DEFAULT_ORDER, cells=DEFAULT_CELLS):
         order=quadrature_order,
         optical_length=total,
         error_estimate=estimate,
-        nodes=nodes,
-        weights=weights,
         _edges=edges,
         _cumulative=cumulative,
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .coefficients import DEFAULT_ORDER
 from .control import CONDITION_CAP
+from .operator import MIN_ELEMENTS, constrained_dimension
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
 
@@ -177,6 +178,16 @@ def parse_config(text):
             errors.append("missing required experiment key 'kind'")
         elements = _positive_int(body, "elements", errors)
         modes = _positive_int(body, "modes", errors)
+        if elements is not None and elements < MIN_ELEMENTS:
+            lineno = body["elements"][1]
+            errors.append(f"line {lineno}: elements must be at least {MIN_ELEMENTS}, "
+                          f"got {elements}")
+        elif elements is not None and modes is not None \
+                and modes > constrained_dimension(elements):
+            lineno = body["modes"][1]
+            errors.append(f"line {lineno}: modes must be at most "
+                          f"{constrained_dimension(elements)}, the constrained dimension "
+                          f"of {elements} elements, got {modes}")
         quad = _positive_int(body, "quadrature_order", errors, required=False,
                              default=DEFAULT_ORDER)
         if quad < 2:

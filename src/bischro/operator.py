@@ -58,6 +58,11 @@ def hermite_shapes(xi, h):
     return N, dN, d2N
 
 
+def constrained_dimension(elements):
+    """Dofs left on an E-element mesh once the four clamped boundary dofs go."""
+    return 2 * elements - 2
+
+
 def band_to_dense(band):
     """Expand symmetric lower-band storage band[i, j] = A[j+i, j] to dense."""
     n = band.shape[1]
@@ -107,7 +112,7 @@ class DiscreteOperator:
     @property
     def n_dof(self):
         """Dimension after eliminating the four clamped boundary dofs."""
-        return self.n_dof_full - 4
+        return constrained_dimension(self.n_elements)
 
     @property
     def nodes(self):

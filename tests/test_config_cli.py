@@ -1,10 +1,12 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bischro import ConfigError, assemble, build_profile, parse_config
-from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
 
 MINIMAL = """
 [experiment]
@@ -102,10 +104,54 @@ def test_cli_missing_config_file(tmp_path, capsys):
 
 
 def test_cli_profile_violation_exit_code(tmp_path, capsys):
-    bad = MINIMAL.replace("rho_poly = [1.0]", "rho_poly = [1.0, -2.0]")
-    cfg = _write(tmp_path, bad)
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "rho" in capsys.readouterr().err
+    for rho in ("[1.0, -2.0]", "[-1.0]"):
+        bad = MINIMAL.replace("rho_poly = [1.0]", f"rho_poly = {rho}")
+        cfg = _write(tmp_path, bad)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "rho" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_entry_script_exits_zero(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, MINIMAL)
+    out = tmp_path / "entry"
+    monkeypatch.setattr(sys, "argv", ["bischro", "spectrum", "--config", cfg, "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == EXIT_OK
+    assert (out / "spectrum.csv").exists()
+
+
+ASYMPTOTICS_CFG = MINIMAL.replace("kind = spectrum", "kind = asymptotics")
+
+
+def test_cli_failed_write_keeps_only_what_existed(tmp_path, capsys):
+    # gap.csv is taken by a directory: spacing.csv is written, then removed
+    cfg = _write(tmp_path, ASYMPTOTICS_CFG)
+    out = tmp_path / "asym"
+    (out / "gap.csv").mkdir(parents=True)
+    assert main(["asymptotics", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "gap.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["gap.csv"]
+    assert (out / "gap.csv").is_dir()
+
+
+def test_cli_failed_write_removes_created_directories(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, ASYMPTOTICS_CFG)
+    real_write_text = Path.write_text
+    calls = []
+
+    def failing_write_text(self, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device", str(self))
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    code = main(["asymptotics", "--config", cfg, "--out", str(tmp_path / "a" / "b")])
+    assert code == EXIT_CONFIG
+    assert calls == ["spacing.csv", "gap.csv"]
+    assert not (tmp_path / "a").exists()
 
 
 def test_cli_asymptotics_outputs(tmp_path, capsys):
@@ -182,6 +228,8 @@ coefficients = [(1, 1.0, 0.0), (2, 1.0, 0.0)]
     ("(2, 1.0, 0.0)", "(2, 1.0, False)"),
     ("horizons = [0.5]", "horizons = [0.5, 1.0]"),
     ("horizons = [0.5]", "horizons = [0.5]\nquadrature_order = 1"),
+    ("elements = 64", "elements = 4"),
+    ("modes = 6", "modes = 200"),
 ])
 def test_cli_rejects_bools_and_nonfinite_numbers(tmp_path, capsys, old, new):
     # the offending value sits on the last line of the replacement
@@ -226,8 +274,7 @@ def test_cli_control_conditioning_refusal_by_horizon_bisection(tmp_path, capsys)
         T /= 4.0
     assert code == EXIT_CONDITIONING
     assert "condition" in capsys.readouterr().err
-    assert not (out / "control_report.json").exists()
-    assert not (out / "control.csv").exists()
+    assert not out.exists()
 
 
 def test_cli_simulate_states(tmp_path):
@@ -254,6 +301,7 @@ def test_cli_initial_coefficient_out_of_range(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["control", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == EXIT_NUMERICAL
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_export_matrices(tmp_path):
