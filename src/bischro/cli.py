@@ -8,12 +8,15 @@ timestamps enter the files, so identical configs run at the same BLAS
 thread count produce byte-identical artifacts (the threaded dense
 eigensolve moves the last bits of the spectrum with the thread count).
 Every file is rendered before the first one is written, so a failing
-run writes nothing; if a write fails, the files and directories the run
-created are removed.  The exit code tells the failure class apart:
+run writes nothing.  The files are staged in a temporary directory
+inside the output directory and renamed into place after the last
+write, so a failed write leaves the files that existed before the run
+untouched and removes the directories the run created.  The exit code tells the failure class apart:
 
     0  success
-    2  configuration or profile error, or an output file that cannot be
-       written
+    2  configuration or profile error, found by ``parse_config`` before
+       any solve (trusted-mode counts included), or an output file that
+       cannot be written
     3  numerical failure (assembly, eigensolve, sampling)
     4  conditioning refusal (Gram condition above the cap)
 """
@@ -21,8 +24,10 @@ created are removed.  The exit code tells the failure class apart:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -89,13 +94,8 @@ class RunReport:
 
 
 def _initial_state(config, sd):
-    coeff = np.zeros(min(config.modes, sd.trusted_count), dtype=complex)
+    coeff = np.zeros(sd.trusted_count, dtype=complex)
     for n, re, im in config.initial_coefficients:
-        if n > len(coeff):
-            raise NumericalError(
-                f"initial coefficient for mode {n} exceeds the "
-                f"{len(coeff)} solved/trusted modes"
-            )
         coeff[n - 1] += re + 1j * im
     return modal_state(sd, coeff)
 
@@ -150,10 +150,9 @@ def _run_asymptotics(config, sd, report):
 
 
 def _run_observability(config, sd, report):
-    n_modes = min(config.modes, sd.trusted_count)
     rows = []
     for T in config.horizons:
-        rep = observability_constants(sd, T, n_modes)
+        rep = observability_constants(sd, T, sd.trusted_count)
         if rep.resolution_failure:
             raise NumericalError(
                 f"Gram eigensolve lost positivity at T={rep.horizon:g}; "
@@ -228,8 +227,11 @@ def run(config):
     """Execute a validated config, then write its files; returns the report.
 
     Every file is rendered in memory before the first write, so a failing
-    computation writes nothing.  A failing write removes the files and
-    directories this run created, then re-raises the OSError.
+    computation writes nothing.  The files are written into a staging
+    directory inside ``--out`` and renamed into place only once all of
+    them are written, so a failing write leaves the files that existed
+    before the run untouched; it also removes the directories this run
+    created, then re-raises the OSError.
     """
     report = RunReport(kind=config.kind, schema=SCHEMA_VERSION)
     t0 = time.perf_counter()
@@ -241,22 +243,24 @@ def run(config):
     files = _RUNNERS[config.kind](config, sd, report)
 
     outdir = Path(config.output)
+    targets = [outdir / name for name in files]
+    for path in targets:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "output file is a directory", str(path))
     created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
-    written = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            path = outdir / name
-            path.write_text(text, encoding="ascii")
-            written.append(path)
+        with tempfile.TemporaryDirectory(dir=outdir, prefix=".staging-") as staging:
+            for name, text in files.items():
+                (Path(staging) / name).write_text(text, encoding="ascii")
+            for name, path in zip(files, targets):
+                (Path(staging) / name).replace(path)
     except OSError:
-        for path in written:
-            path.unlink()
         for d in created:
             if d.exists():  # mkdir may have failed part of the way down
                 d.rmdir()
         raise
-    report.files = [str(p) for p in written]
+    report.files = [str(p) for p in targets]
     report.timings["total"] = time.perf_counter() - t0
     return report
 

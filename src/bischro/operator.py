@@ -63,6 +63,11 @@ def constrained_dimension(elements):
     return 2 * elements - 2
 
 
+def trusted_count(elements, modes):
+    """Modes certified on an E-element mesh: one per ten elements, at most ``modes``."""
+    return min(modes, elements // 10)
+
+
 def band_to_dense(band):
     """Expand symmetric lower-band storage band[i, j] = A[j+i, j] to dense."""
     n = band.shape[1]

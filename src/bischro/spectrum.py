@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .operator import DiscreteOperator, band_matvec, band_to_dense, boundary_trace
+from .operator import (DiscreteOperator, band_matvec, band_to_dense, boundary_trace,
+                       trusted_count)
 
 RESIDUAL_TOL = 1e-8
 # validate_spectrum flags: relative neighbor gap, right-end trace magnitude
@@ -44,8 +45,8 @@ class SpectralData:
     roots, ``modes`` (constrained dofs, one column per mode) are
     M-orthonormal, ``traces`` hold the right-end curvature of each mode,
     ``trusted_count`` caps the indices certified against
-    discretization error (elements / 10 rule), and ``op`` is the pencil
-    they were computed from.
+    discretization error (:func:`bischro.operator.trusted_count`), and
+    ``op`` is the pencil they were computed from.
     """
 
     eigenvalues: np.ndarray
@@ -193,7 +194,7 @@ def solve_spectrum(op, count):
                 f"mode {i + 1} residual {residuals[i]:.3e} exceeds gate {gate:.3e}"
             )
 
-    trusted = int(min(count, op.n_elements // 10))
+    trusted = int(trusted_count(op.n_elements, count))
     return SpectralData(
         eigenvalues=lams,
         wavenumbers=lams**0.25,

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from bischro import ConfigError, assemble, build_profile, parse_config
-from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
+from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_OK, entry, main
 
 MINIMAL = """
 [experiment]
@@ -45,6 +46,32 @@ def test_negative_elements_error_names_field_and_line():
     assert "elements" in msg
     expected_line = text.splitlines().index("elements = -4") + 1
     assert f"line {expected_line}" in msg
+
+
+def test_comments_after_values_are_ignored():
+    text = CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5]\n"
+                               "quadrature_order = 6\noutput = runs/ctl\n"
+                               "condition_cap = 1e10\nexport_matrices = true")
+    commented = "\n".join(line + "  # note" if "=" in line else line
+                           for line in text.splitlines())
+    assert commented.count("# note") == 13  # every key of the config
+    assert parse_config(commented) == parse_config(text)
+
+
+def test_quoted_output_keeps_hash():
+    cfg = parse_config(MINIMAL.replace("modes = 6", "modes = 6\noutput = 'a#b'  # c"))
+    assert cfg.output == "a#b"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_configs_parse():
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 def test_two_profile_sections_rejected():
@@ -126,14 +153,37 @@ ASYMPTOTICS_CFG = MINIMAL.replace("kind = spectrum", "kind = asymptotics")
 
 
 def test_cli_failed_write_keeps_only_what_existed(tmp_path, capsys):
-    # gap.csv is taken by a directory: spacing.csv is written, then removed
+    # gap.csv is taken by a directory: the run is refused before any write,
+    # and the old spacing.csv keeps its bytes
     cfg = _write(tmp_path, ASYMPTOTICS_CFG)
     out = tmp_path / "asym"
     (out / "gap.csv").mkdir(parents=True)
+    (out / "spacing.csv").write_bytes(b"old spacing\n")
     assert main(["asymptotics", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "gap.csv" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["gap.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["gap.csv", "spacing.csv"]
     assert (out / "gap.csv").is_dir()
+    assert (out / "spacing.csv").read_bytes() == b"old spacing\n"
+
+
+def test_cli_failed_write_keeps_old_files_bytes(tmp_path, monkeypatch, capsys):
+    # the second write fails after the first succeeded: nothing is renamed
+    # over the old spacing.csv and no staged file is left behind
+    cfg = _write(tmp_path, ASYMPTOTICS_CFG)
+    out = tmp_path / "asym"
+    out.mkdir()
+    (out / "spacing.csv").write_bytes(b"old spacing\n")
+    real_write_text = Path.write_text
+
+    def failing_write_text(self, *args, **kwargs):
+        if self.name == "gap.csv":
+            raise OSError(28, "No space left on device", str(self))
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    assert main(["asymptotics", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert [p.name for p in out.iterdir()] == ["spacing.csv"]
+    assert (out / "spacing.csv").read_bytes() == b"old spacing\n"
 
 
 def test_cli_failed_write_removes_created_directories(tmp_path, monkeypatch, capsys):
@@ -152,6 +202,19 @@ def test_cli_failed_write_removes_created_directories(tmp_path, monkeypatch, cap
     assert code == EXIT_CONFIG
     assert calls == ["spacing.csv", "gap.csv"]
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("elements = 64", "elements = 32"),
+    ("modes = 6", "modes = 4"),
+])
+def test_cli_asymptotics_needs_five_trusted_modes(tmp_path, capsys, old, new):
+    text = ASYMPTOTICS_CFG.replace(old, new)
+    lineno = text.splitlines().index(new) + 1
+    cfg = _write(tmp_path, text)
+    assert main(["asymptotics", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"line {lineno}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_asymptotics_outputs(tmp_path, capsys):
@@ -229,7 +292,9 @@ coefficients = [(1, 1.0, 0.0), (2, 1.0, 0.0)]
     ("horizons = [0.5]", "horizons = [0.5, 1.0]"),
     ("horizons = [0.5]", "horizons = [0.5]\nquadrature_order = 1"),
     ("elements = 64", "elements = 4"),
+    ("elements = 64", "elements = 9"),
     ("modes = 6", "modes = 200"),
+    ("(2, 1.0, 0.0)", "(7, 1.0, 0.0)"),
 ])
 def test_cli_rejects_bools_and_nonfinite_numbers(tmp_path, capsys, old, new):
     # the offending value sits on the last line of the replacement
@@ -298,9 +363,11 @@ def test_cli_simulate_states(tmp_path):
 
 def test_cli_initial_coefficient_out_of_range(tmp_path, capsys):
     text = CONTROL_CFG.replace("(2, 1.0, 0.0)", "(40, 1.0, 0.0)")
+    lineno = text.splitlines().index("coefficients = [(1, 1.0, 0.0), (40, 1.0, 0.0)]") + 1
     cfg = _write(tmp_path, text)
     assert main(["control", "--config", cfg,
-                 "--out", str(tmp_path / "x")]) == EXIT_NUMERICAL
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert f"line {lineno}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
