@@ -25,7 +25,6 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .control import (
     ConditioningError,
     ControlSolution,
-    hum_operator,
     moments_for_null,
     synthesize_hum_control,
     synthesize_moment_control,

@@ -9,8 +9,9 @@ equation is the leading-order characteristic equation.  Its positive
 roots sit exponentially close to the half-integer multiples of
 pi / gamma, so consecutive spacings approach pi / gamma and consecutive
 eigenvalue gaps grow cubically.  This module computes the roots by
-bracketed bisection and compares a computed spectrum against the three
-laws (spacing, cubic gap, boundary-trace magnitude).
+Brent's method on sign-change brackets and compares a computed
+spectrum against the three laws (spacing, cubic gap, boundary-trace
+magnitude).
 
 The root residual is reported in the cosh-normalized form
 |cos(x)cosh(x) - 1| / cosh(x) = |cos(x) - sech(x)|: the raw combination
@@ -178,7 +179,7 @@ def eigenfunction_asymptote(model, n, x):
     return float(out[0]) if scalar else out
 
 
-def trace_limit(profile, geo):
+def trace_limit(geo):
     """Limit of |trace_n| / sqrt(lambda_n) for unit-mass normalized modes.
 
     The envelope calculation gives
@@ -187,8 +188,9 @@ def trace_limit(profile, geo):
     rho-weighted norm and makes the constant invariant under the
     rescaling rho -> c^4 rho, as the quotient itself is.  For constant
     coefficients the quotient equals this constant at every mode index,
-    not just in the limit.
+    not just in the limit.  The coefficients are those of ``geo.profile``.
     """
+    profile = geo.profile
     ell = profile.length
     gamma = geo.optical_length
     return float(
@@ -199,11 +201,11 @@ def trace_limit(profile, geo):
     )
 
 
-def trace_limit_report(sd, profile, geo):
-    """Rows (n, |t_n| / sqrt(lambda_n), ratio to the envelope limit)."""
+def trace_limit_report(sd, geo):
+    """Rows (n, |t_n| / sqrt(lambda_n), ratio to the limit for sd's profile geometry geo)."""
     if sd.trusted_count < 5:
         raise ValueError("trace report needs trusted_count >= 5")
-    limit = trace_limit(profile, geo)
+    limit = trace_limit(geo)
     m = min(sd.trusted_count, sd.count)
     rows = []
     for n in range(m):

@@ -17,7 +17,8 @@ untouched and removes the directories the run created.  The exit code tells the 
     2  configuration or profile error, found by ``parse_config`` before
        any solve (trusted-mode counts included), or an output file that
        cannot be written
-    3  numerical failure (assembly, eigensolve, sampling)
+    3  numerical failure (eigensolve breakdown, observability Gram
+       positivity lost)
     4  conditioning refusal (Gram condition above the cap)
 """
 
@@ -133,14 +134,13 @@ def _run_spectrum(config, sd, report):
 
 
 def _run_asymptotics(config, sd, report):
-    profile = sd.op.profile
-    geo = geometry(profile, config.quadrature_order)
+    geo = geometry(sd.op.profile, config.quadrature_order)
     files = {
         fname: _csv(table.name, table.columns, table.rows)
         for table, fname in (
             (spacing_report(sd, geo), "spacing.csv"),
             (gap_report(sd, geo), "gap.csv"),
-            (trace_limit_report(sd, profile, geo), "trace.csv"),
+            (trace_limit_report(sd, geo), "trace.csv"),
         )
     }
     report.records.append({"optical_length": geo.optical_length,

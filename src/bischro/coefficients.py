@@ -83,8 +83,6 @@ class Coefficient:
 
 
 def _as_coefficient(spec, name):
-    if isinstance(spec, Coefficient):
-        return spec
     if isinstance(spec, (int, float)):
         return Coefficient(poly=[float(spec)])
     if isinstance(spec, dict):
@@ -92,7 +90,7 @@ def _as_coefficient(spec, name):
         if unknown:
             raise ProfileError(f"{name}: unknown coefficient keys {sorted(unknown)}")
         return Coefficient(poly=spec.get("poly"), samples=spec.get("samples"))
-    raise ProfileError(f"{name}: expected number, dict or Coefficient, got {type(spec).__name__}")
+    raise ProfileError(f"{name}: expected number or dict, got {type(spec).__name__}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import ExponentialSum, evolve_controlled, modal_state, sobolev_norm
+from .dynamics import ExponentialSum, _check_basis, evolve_controlled, modal_state, sobolev_norm
 from .observability import gram
 
 CONDITION_CAP = 1e12
@@ -56,7 +56,9 @@ def moments_for_null(state0, sd, sigma_l):
 
     A mode whose trace magnitude is below TRACE_FLOOR cannot be steered
     through the boundary; it is excluded (zero moment) with a warning.
+    A state expanded in another basis than ``sd`` is refused.
     """
+    _check_basis(state0, sd)
     if sigma_l <= 0:
         raise ValueError("sigma at the controlled end must be positive")
     traces = sd.traces[: len(state0.coefficients)]
@@ -120,25 +122,6 @@ def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP)
                      "moment", state0, sigma_l)
 
 
-def _trace_gram(sd, horizon, n_modes, sigma_l):
-    """Trace-weighted Gram of the first ``n_modes`` modes, arguments checked."""
-    N = int(n_modes)
-    if N < 1 or N > sd.trusted_count:
-        raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
-    if sigma_l <= 0:
-        raise ValueError("sigma at the controlled end must be positive")
-    return gram(sd.eigenvalues[:N], horizon, traces=sd.traces[:N])
-
-
-def hum_operator(sd, horizon, n_modes, sigma_l):
-    """Trace-weighted coercive operator sigma(ell) t_m t_n G[m, n].
-
-    Represents the boundary-output energy quadratic form in modal
-    coordinates; Hermitian positive definite for distinct frequencies.
-    """
-    return sigma_l * _trace_gram(sd, horizon, n_modes, sigma_l).weighted
-
-
 @serial_blas
 def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
                            condition_cap=CONDITION_CAP):
@@ -147,13 +130,20 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     Solves Lambda c = i a(0) by one Cholesky factorization of the
     Hermitian positive definite operator and emits f(t) = sum_k c_k t_k
     exp(i lambda_k t), the boundary output of the free solution with
-    datum sum c_k phi_k.  Verified by forward solve of the original
+    datum sum c_k phi_k; Lambda = sigma(ell) t_m t_n G[m, n] is the
+    boundary-output energy form.  A state from another basis than ``sd``
+    is refused; the control is verified by forward solve of the original
     state, including any modes beyond the steered range.
     """
-    gs = _trace_gram(sd, horizon, n_modes, sigma_l)
-    _refuse_ill_conditioned(gs, condition_cap)
+    _check_basis(state0, sd)
     N = int(n_modes)
+    if N < 1 or N > sd.trusted_count:
+        raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
+    if sigma_l <= 0:
+        raise ValueError("sigma at the controlled end must be positive")
     traces = sd.traces[:N]
+    gs = gram(sd.eigenvalues[:N], horizon, traces=traces)
+    _refuse_ill_conditioned(gs, condition_cap)
     m = len(state0.coefficients)
     if m > N and np.any(state0.coefficients[N:] != 0):
         warnings.warn(

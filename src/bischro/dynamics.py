@@ -59,10 +59,16 @@ class ModalState:
         return self.basis.eigenvalues[: len(self.coefficients)]
 
 
-def modal_state(sd, coefficients, time=0.0, projection_residual=None):
+def modal_state(sd, coefficients, projection_residual=None):
+    """State at time 0 with the given coefficients against the modes of ``sd``."""
     coeff = np.asarray(coefficients, dtype=complex).copy()
-    return ModalState(coefficients=coeff, time=float(time), basis=sd,
+    return ModalState(coefficients=coeff, time=0.0, basis=sd,
                       projection_residual=projection_residual)
+
+
+def _check_basis(state, sd):
+    if state.basis is not sd:
+        raise ValueError("state and spectral data refer to different bases")
 
 
 @serial_blas
@@ -111,7 +117,7 @@ def project_initial(sd, y0, derivative=None):
     num = np.sqrt(abs(np.vdot(diff, band_matvec(mbc, diff)).real))
     den = np.sqrt(abs(np.vdot(yc, band_matvec(mbc, yc)).real))
     residual = float(num / den) if den > 0 else 0.0
-    return modal_state(sd, coeff, time=0.0, projection_residual=residual)
+    return modal_state(sd, coeff, projection_residual=residual)
 
 
 def evolve_free(state, t):
@@ -252,10 +258,9 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
     SAMPLES_PER_PERIOD points per period of the fastest retained mode is
     refused outright rather than silently dephased.
     """
+    _check_basis(state0, sd)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if state0.basis is not sd:
-        raise ValueError("state and spectral data refer to different bases")
     lam = state0.frequencies
     traces = sd.traces[: len(lam)]
 

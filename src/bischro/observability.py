@@ -49,15 +49,15 @@ def gram(lambdas, horizon, traces=None):
     T = float(horizon)
     if T <= 0:
         raise ValueError("horizon must be positive")
+    delta = np.subtract.outer(lam, lam)      # delta[m, n] = lam_m - lam_n
     if len(lam) > 1:
         span = max(lam.max() - lam.min(), 1.0)
-        diff = np.abs(np.subtract.outer(lam, lam))
+        diff = np.abs(delta)
         np.fill_diagonal(diff, np.inf)
         if diff.min() <= 1e-12 * span:
             i, j = np.unravel_index(np.argmin(diff), diff.shape)
             raise ValueError(f"duplicate frequencies at indices {i} and {j}")
 
-    delta = np.subtract.outer(lam, lam)      # delta[m, n] = lam_m - lam_n
     G = np.asarray(phase_integral(-delta, T))
     np.fill_diagonal(G, T)
     G = 0.5 * (G + G.conj().T)               # Hermitian to the last bit
@@ -74,12 +74,11 @@ def gram(lambdas, horizon, traces=None):
     return GramSystem(matrix=G, weighted=weighted, condition_estimate=cond)
 
 
-def boundary_output(state, sd, t):
-    """Right-end curvature of the free solution: sum c_n exp(i lambda_n t) t_n."""
-    if state.basis is not sd:
-        raise ValueError("state and spectral data refer to different bases")
+def boundary_output(state, t):
+    """Right-end curvature of the free solution: sum c_n exp(i lambda_n t) t_n,
+    with t_n the traces of the state's own basis."""
     lam = state.frequencies
-    out = ExponentialSum(lam, state.coefficients * sd.traces[: len(lam)])(t)
+    out = ExponentialSum(lam, state.coefficients * state.basis.traces[: len(lam)])(t)
     return out if out.shape else complex(out)
 
 

@@ -20,13 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas as _blas
 
-from .coefficients import CoefficientProfile
+from .coefficients import CoefficientProfile, _gauss_rule
 
 MIN_ELEMENTS = 8
 HALF_BANDWIDTH = 3
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
-_XI = (_GAUSS_X + 1.0) / 2.0
-_WREF = _GAUSS_W / 2.0
 
 
 def hermite_shapes(xi, h):
@@ -197,10 +194,11 @@ def assemble(profile, elements):
         raise ValueError(f"need at least {MIN_ELEMENTS} elements, got {elements}")
     E = int(elements)
     h = profile.length / E
-    N, dN, d2N = hermite_shapes(_XI, h)
+    xi, wref = _gauss_rule(4)
+    N, dN, d2N = hermite_shapes(xi, h)
     left = np.linspace(0.0, profile.length, E + 1)[:-1]
-    xq = left[:, None] + _XI[None, :] * h
-    wq = _WREF[None, :] * h
+    xq = left[:, None] + xi[None, :] * h
+    wq = wref[None, :] * h
     sig = profile.sigma(xq) * wq
     qq = profile.q(xq) * wq
     rho = profile.rho(xq) * wq

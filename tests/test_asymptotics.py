@@ -174,9 +174,9 @@ def test_asymptote_no_overflow_at_high_index(const_geometry):
     assert np.all(np.isfinite(vals))
 
 
-def test_trace_limit_constant_profile(sd_const_512, const_profile, const_geometry):
-    assert trace_limit(const_profile, const_geometry) == pytest.approx(2.0, rel=1e-12)
-    table = trace_limit_report(sd_const_512, const_profile, const_geometry)
+def test_trace_limit_constant_profile(sd_const_512, const_geometry):
+    assert trace_limit(const_geometry) == pytest.approx(2.0, rel=1e-12)
+    table = trace_limit_report(sd_const_512, const_geometry)
     ratio = table.column("limit_ratio")
     assert np.all(np.abs(ratio[9:14] - 1) < 0.04)
 
@@ -186,23 +186,23 @@ def test_trace_limit_quartic_rescale_value():
     # 2 * 16^(-3/8) * 4 / sqrt(2) = 2 (scale invariance of the quotient)
     p = constant_profile(rho=16.0)
     geo = geometry(p)
-    assert trace_limit(p, geo) == pytest.approx(2.0, rel=1e-12)
+    assert trace_limit(geo) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_trace_ratio_column_scale_invariant(const_profile):
     sd_a = solve_spectrum(assemble(const_profile, 96), 9)
     heavy = constant_profile(rho=16.0)
     sd_b = solve_spectrum(assemble(heavy, 96), 9)
-    ta = trace_limit_report(sd_a, const_profile, geometry(const_profile))
-    tb = trace_limit_report(sd_b, heavy, geometry(heavy))
+    ta = trace_limit_report(sd_a, geometry(const_profile))
+    tb = trace_limit_report(sd_b, geometry(heavy))
     assert tb.column("limit_ratio") == pytest.approx(ta.column("limit_ratio"), rel=1e-9)
 
 
-def test_reports_demand_enough_trusted_modes(sd_const_512, const_geometry, const_profile):
+def test_reports_demand_enough_trusted_modes(sd_const_512, const_geometry):
     starved = dataclasses.replace(sd_const_512, trusted_count=2)
     with pytest.raises(ValueError):
         spacing_report(starved, const_geometry)
     with pytest.raises(ValueError):
         gap_report(starved, const_geometry)
     with pytest.raises(ValueError):
-        trace_limit_report(starved, const_profile, const_geometry)
+        trace_limit_report(starved, const_geometry)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bischro import ConfigError, assemble, build_profile, parse_config
-from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_OK, entry, main
+from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
 
 MINIMAL = """
 [experiment]
@@ -72,6 +72,15 @@ def test_readme_configs_parse():
     assert blocks
     for block in blocks:
         parse_config(block)
+
+
+def test_readme_quick_start_runs(capsys):
+    block, = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    exec(compile(block, str(README), "exec"), {})
+    norm, residual = map(float, capsys.readouterr().out.split())
+    assert norm > 0
+    assert residual <= 1e-8
 
 
 def test_two_profile_sections_rejected():
@@ -245,6 +254,17 @@ def test_cli_observability_sweep(tmp_path, capsys):
     assert len(lines) == 2 + 3
     c_lower = [float(row.split(",")[2]) for row in lines[2:]]
     assert c_lower == sorted(c_lower)
+
+
+def test_cli_observability_positivity_loss_exits_numerical(tmp_path, capsys):
+    # at T = 1e-6 the Gram of six modes is numerically singular
+    text = MINIMAL.replace("kind = spectrum", "kind = observability")
+    text = text.replace("modes = 6", "modes = 6\nhorizons = [1e-6]")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "obs"
+    assert main(["observability", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "Gram eigensolve lost positivity" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_observability_threads_match_serial(tmp_path):

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import bischro.control
 from bischro import (
     ConditioningError,
     ExponentialSum,
     evolve_controlled,
     gram,
-    hum_operator,
     modal_state,
     moments_for_null,
     sobolev_norm,
@@ -87,17 +87,22 @@ def test_doubling_horizon_never_costs_more(sd_const_512, rng):
     assert long.control_norm <= short.control_norm * (1 + 1e-12)
 
 
+def _hum_operator(sd, T, N, sigma_l):
+    # the operator synthesize_hum_control factors: sigma(ell) t_m t_n G[m, n]
+    return sigma_l * gram(sd.eigenvalues[:N], T, traces=sd.traces[:N]).weighted
+
+
 def test_hum_operator_scalar_case(sd_const_128):
     sd = sd_const_128
     T, sigma_l = 0.6, 2.0
-    lam_op = hum_operator(sd, T, 1, sigma_l)
+    lam_op = _hum_operator(sd, T, 1, sigma_l)
     assert lam_op.shape == (1, 1)
     assert lam_op[0, 0] == pytest.approx(sigma_l * sd.traces[0] ** 2 * T, rel=1e-13)
 
 
 def test_hum_operator_positive_definite(sd_const_512):
     import scipy.linalg as sla
-    lam_op = hum_operator(sd_const_512, 0.5, 12, 1.0)
+    lam_op = _hum_operator(sd_const_512, 0.5, 12, 1.0)
     assert np.array_equal(lam_op, lam_op.conj().T)
     assert sla.eigvalsh(lam_op).min() > 0
 
@@ -106,7 +111,7 @@ def test_hum_quadratic_form_is_output_energy(sd_const_512, rng):
     # c^H Lambda c = sigma * integral |boundary output|^2 over (0, T)
     sd = sd_const_512
     N, T, sigma_l = 8, 0.5, 1.3
-    lam_op = hum_operator(sd, T, N, sigma_l)
+    lam_op = _hum_operator(sd, T, N, sigma_l)
     lam = sd.eigenvalues[:N]
     tr = sd.traces[:N]
     for _ in range(3):
@@ -195,3 +200,19 @@ def test_nonpositive_sigma_rejected(sd_const_128, sigma_l):
         moments_for_null(state, sd_const_128, sigma_l)
     with pytest.raises(ValueError, match="must be positive"):
         synthesize_hum_control(state, sd_const_128, 0.5, 4, sigma_l)
+
+
+def test_foreign_basis_refused_before_any_solve(sd_const_512, sd_var_512, monkeypatch):
+    # moments against another basis's traces look like a perfect null
+    # control there, while the state's own modes keep almost all of it
+    state = modal_state(sd_const_512, np.eye(12)[0] + np.eye(12)[1])
+    sigma_l = sd_var_512.sigma_at_right_end()
+    with pytest.raises(ValueError, match="different bases"):
+        moments_for_null(state, sd_var_512, sigma_l)
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram formed for a state of another basis")
+
+    monkeypatch.setattr(bischro.control, "gram", no_gram)
+    with pytest.raises(ValueError, match="different bases"):
+        synthesize_hum_control(state, sd_var_512, 0.5, 12, sigma_l)

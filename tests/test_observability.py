@@ -69,7 +69,7 @@ def test_gram_rejects_duplicate_frequencies():
 def test_boundary_output_single_mode(sd_const_128):
     sd = sd_const_128
     state = modal_state(sd, [1.0])
-    assert boundary_output(state, sd, 0.0) == pytest.approx(sd.traces[0])
+    assert boundary_output(state, 0.0) == pytest.approx(sd.traces[0])
 
 
 def test_boundary_output_sum_at_zero(sd_const_128, rng):
@@ -77,7 +77,7 @@ def test_boundary_output_sum_at_zero(sd_const_128, rng):
     c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     state = modal_state(sd, c)
     expected = np.sum(c * sd.traces[:7])
-    assert boundary_output(state, sd, 0.0) == pytest.approx(expected, rel=1e-13)
+    assert boundary_output(state, 0.0) == pytest.approx(expected, rel=1e-13)
 
 
 def test_boundary_output_matches_reconstruction_fd(sd_const_512):
@@ -88,7 +88,7 @@ def test_boundary_output_matches_reconstruction_fd(sd_const_512):
     c = np.array([0.8, -0.5, 0.3j], dtype=complex)
     state = modal_state(sd, c)
     t = 0.123
-    out = boundary_output(state, sd, t)
+    out = boundary_output(state, t)
     coeff_t = np.exp(1j * sd.eigenvalues[:3] * t) * c
     dofs = op.expand(sd.modes[:, :3] @ coeff_t)
     d = op.h / 4
