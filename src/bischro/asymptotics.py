@@ -11,7 +11,9 @@ pi / gamma, so consecutive spacings approach pi / gamma and consecutive
 eigenvalue gaps grow cubically.  This module computes the roots by
 Brent's method on sign-change brackets and compares a computed
 spectrum against the three laws (spacing, cubic gap, boundary-trace
-magnitude).
+magnitude).  Each comparison takes the geometry of the profile the
+spectrum was solved on, or a plain optical length; a geometry of another
+profile is refused.
 
 The root residual is reported in the cosh-normalized form
 |cos(x)cosh(x) - 1| / cosh(x) = |cos(x) - sech(x)|: the raw combination
@@ -39,6 +41,16 @@ def _gamma_of(geometry):
     if g <= 0:
         raise ValueError("optical length must be positive")
     return g
+
+
+def _of_profile(sd, geometry):
+    """``geometry`` unchanged; a WaveGeometry of another profile than sd's is refused.
+
+    A float optical length carries no profile and is taken as given.
+    """
+    if isinstance(geometry, WaveGeometry) and geometry.profile is not sd.op.profile:
+        raise ValueError("geometry and spectral data refer to different profiles")
+    return geometry
 
 
 def _char_scaled(x):
@@ -95,7 +107,7 @@ def index_offset(sd, geometry):
     the offset is reported instead of trusting any fixed enumeration
     convention, since only spacings enter the laws downstream.
     """
-    gamma = _gamma_of(geometry)
+    gamma = _gamma_of(_of_profile(sd, geometry))
     n = np.arange(1, min(sd.trusted_count, sd.count) + 1)
     est = sd.wavenumbers[: len(n)] * gamma / np.pi + 0.5 - n
     return int(np.round(np.median(est)))
@@ -105,7 +117,7 @@ def spacing_report(sd, geometry):
     """Rows (n, mu_{n+1} - mu_n, spacing * gamma / pi); last column -> 1."""
     if sd.trusted_count < 3:
         raise ValueError("spacing report needs trusted_count >= 3")
-    gamma = _gamma_of(geometry)
+    gamma = _gamma_of(_of_profile(sd, geometry))
     m = min(sd.trusted_count, sd.count)
     mu = sd.wavenumbers[:m]
     rows = []
@@ -126,7 +138,7 @@ def gap_report(sd, geometry):
     """
     if sd.trusted_count < 5:
         raise ValueError("gap report needs trusted_count >= 5")
-    gamma = _gamma_of(geometry)
+    gamma = _gamma_of(_of_profile(sd, geometry))
     m = min(sd.trusted_count, sd.count)
     lam = sd.eigenvalues[:m]
     mu = sd.wavenumbers[:m]
@@ -205,7 +217,7 @@ def trace_limit_report(sd, geo):
     """Rows (n, |t_n| / sqrt(lambda_n), ratio to the limit for sd's profile geometry geo)."""
     if sd.trusted_count < 5:
         raise ValueError("trace report needs trusted_count >= 5")
-    limit = trace_limit(geo)
+    limit = trace_limit(_of_profile(sd, geo))
     m = min(sd.trusted_count, sd.count)
     rows = []
     for n in range(m):

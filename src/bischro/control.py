@@ -5,9 +5,13 @@ of the control; the minimum-L^2-norm control satisfying them is an
 exponential sum over the very frequencies being steered, with weights
 solving the Gram system.  The dual route solves instead with the
 trace-weighted coercive operator, factored once by Cholesky, and
-produces the same function, which gives a sharp cross-check.  Every
-synthesized control is verified by an independent forward solve; the
-reported residual is never inferred from the linear algebra.
+produces the same function, which gives a sharp cross-check.  Both
+routes take the Gram from observability.gram, which remembers its most
+recent (frequencies, horizon), so a moment/HUM pair at one horizon
+forms and conditions one Gram, and each control's norm is read from
+that Gram.  Every synthesized control is verified by an independent
+forward solve; the reported residual is never inferred from the linear
+algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import ExponentialSum, _check_basis, evolve_controlled, modal_state, sobolev_norm
+from .dynamics import (ExponentialSum, _check_basis, _gram_norm, evolve_controlled,
+                       modal_state, sobolev_norm)
 from .observability import gram
 
 CONDITION_CAP = 1e12
@@ -75,18 +80,26 @@ def moments_for_null(state0, sd, sigma_l):
     return moments
 
 
-def _verified(sd, horizon, moments, beta, cond, method, state0, sigma_l):
+def _verified(sd, horizon, moments, beta, gs, method, state0, sigma_l):
+    """Package a control whose weights ``beta`` solve a system with the Gram ``gs``.
+
+    The norm is read from gs.matrix: its conjugate transpose holds the
+    same values in Fortran order, the order ExponentialSum.norm builds,
+    so the norm equals that method's bit for bit without a third N x N
+    phase integral.  The residual comes from evolve_controlled, which
+    forms its own phase integrals, so the verification stays independent
+    of the Gram the control was solved with.
+    """
     lam = sd.eigenvalues[: len(beta)]
-    f = ExponentialSum(lam, beta)
-    norm = f.norm(horizon)
-    final = evolve_controlled(state0, sd, sigma_l, f, horizon)
+    norm = _gram_norm(gs.matrix.conj().T, beta)
+    final = evolve_controlled(state0, sd, sigma_l, ExponentialSum(lam, beta), horizon)
     n0 = sobolev_norm(state0, -0.5)
     nT = sobolev_norm(final, -0.5)
     residual = float(nT / n0) if n0 > 0 else 0.0
     return ControlSolution(
         horizon=float(horizon), frequencies=lam, moments=np.asarray(moments),
         beta=beta, control_norm=norm, residual_final=residual,
-        gram_condition=cond, method=method,
+        gram_condition=gs.condition_estimate, method=method,
     )
 
 
@@ -118,8 +131,7 @@ def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP)
     sigma_l = sd.sigma_at_right_end()
     a0 = -1j * sigma_l * sd.traces[:N] * moments
     state0 = modal_state(sd, a0)
-    return _verified(sd, horizon, moments, beta, gs.condition_estimate,
-                     "moment", state0, sigma_l)
+    return _verified(sd, horizon, moments, beta, gs, "moment", state0, sigma_l)
 
 
 @serial_blas
@@ -158,5 +170,4 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     beta = c * traces
     # rhs = i a(0), so the implied moments are rhs / (sigma t_n)
     moments = rhs / (sigma_l * traces)
-    return _verified(sd, horizon, moments, beta, gs.condition_estimate,
-                     "hum", state0, sigma_l)
+    return _verified(sd, horizon, moments, beta, gs, "hum", state0, sigma_l)

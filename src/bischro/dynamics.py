@@ -162,8 +162,17 @@ class ExponentialSum:
         if len(self) == 0:
             return 0.0
         diff = np.subtract.outer(self.frequencies, self.frequencies)
-        g = phase_integral(diff.T, horizon)
-        return float(np.sqrt(abs(np.real(np.vdot(self.weights, g @ self.weights)))))
+        return _gram_norm(phase_integral(diff.T, horizon), self.weights)
+
+
+def _gram_norm(g, weights):
+    """sqrt(w^H g w), the L^2 norm of an exponential sum with Gram g and weights w.
+
+    The product's rounding depends on the memory order of ``g``:
+    ExponentialSum.norm passes a Fortran-ordered matrix, and a caller
+    that wants the same bits passes one too.
+    """
+    return float(np.sqrt(abs(np.real(np.vdot(weights, g @ weights)))))
 
 
 def phase_integral(omega, horizon):

@@ -34,6 +34,14 @@ class GramSystem:
     condition_estimate: float
 
 
+# (lambda bytes, horizon, G, condition) of the most recent gram call.  One
+# entry serves the real traffic, consecutive calls at one (lambda, T): a
+# moment/HUM pair, a sweep over states, an observability cell.  Swapping
+# the whole tuple in one assignment keeps concurrent callers consistent;
+# a race costs at most a recomputation.
+_last_gram = None
+
+
 @serial_blas
 def gram(lambdas, horizon, traces=None):
     """Exponential Gram matrix on (0, horizon), closed-form entries.
@@ -42,13 +50,39 @@ def gram(lambdas, horizon, traces=None):
     horizon.  Duplicate frequencies are rejected, they would make the
     family degenerate.  When ``traces`` is given the trace-weighted
     matrix t_m t_n G[m, n] is attached as well.
+
+    The most recent (lambdas, horizon), compared by the exact bytes of
+    the frequencies and the float horizon, is remembered: a repeated call
+    returns the same read-only matrix and condition estimate without
+    forming or eigen-decomposing it again.  The weighted matrix is formed
+    on every call.
     """
+    global _last_gram
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
         raise ValueError("lambdas must be a nonempty 1-d sequence")
     T = float(horizon)
     if T <= 0:
         raise ValueError("horizon must be positive")
+    key = lam.tobytes()
+    last = _last_gram
+    if last is not None and last[0] == key and last[1] == T:
+        G, cond = last[2], last[3]
+    else:
+        G, cond = _exponential_gram(lam, T)
+        _last_gram = (key, T, G, cond)
+
+    weighted = None
+    if traces is not None:
+        t = np.asarray(traces, dtype=float)
+        if t.shape != lam.shape:
+            raise ValueError("traces must match lambdas in length")
+        weighted = np.outer(t, t) * G
+    return GramSystem(matrix=G, weighted=weighted, condition_estimate=cond)
+
+
+def _exponential_gram(lam, T):
+    """Read-only Hermitian Gram of exp(i lam t) on (0, T) and its 2-norm condition."""
     delta = np.subtract.outer(lam, lam)      # delta[m, n] = lam_m - lam_n
     if len(lam) > 1:
         span = max(lam.max() - lam.min(), 1.0)
@@ -61,17 +95,11 @@ def gram(lambdas, horizon, traces=None):
     G = np.asarray(phase_integral(-delta, T))
     np.fill_diagonal(G, T)
     G = 0.5 * (G + G.conj().T)               # Hermitian to the last bit
+    G.flags.writeable = False
 
     w = sla.eigvalsh(G)
     cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
-
-    weighted = None
-    if traces is not None:
-        t = np.asarray(traces, dtype=float)
-        if t.shape != lam.shape:
-            raise ValueError("traces must match lambdas in length")
-        weighted = np.outer(t, t) * G
-    return GramSystem(matrix=G, weighted=weighted, condition_estimate=cond)
+    return G, cond
 
 
 def boundary_output(state, t):

@@ -206,3 +206,18 @@ def test_reports_demand_enough_trusted_modes(sd_const_512, const_geometry):
         gap_report(starved, const_geometry)
     with pytest.raises(ValueError):
         trace_limit_report(starved, const_geometry)
+
+
+def test_reports_refuse_geometry_of_another_profile(sd_const_512, const_geometry,
+                                                    var_geometry):
+    for report in (spacing_report, gap_report, trace_limit_report, index_offset):
+        with pytest.raises(ValueError, match="different profiles"):
+            report(sd_const_512, var_geometry)
+    # an equal profile built separately is another profile too
+    with pytest.raises(ValueError, match="different profiles"):
+        trace_limit_report(sd_const_512, geometry(constant_profile()))
+    # a plain optical length carries no profile and is taken as given
+    gamma = const_geometry.optical_length
+    for report in (spacing_report, gap_report):
+        assert report(sd_const_512, gamma).rows == report(sd_const_512, const_geometry).rows
+    assert index_offset(sd_const_512, gamma) == index_offset(sd_const_512, const_geometry)

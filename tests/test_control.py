@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bischro.control
+import bischro.observability
 from bischro import (
     ConditioningError,
     ExponentialSum,
@@ -11,6 +12,7 @@ from bischro import (
     gram,
     modal_state,
     moments_for_null,
+    observability_constants,
     sobolev_norm,
     synthesize_hum_control,
     synthesize_moment_control,
@@ -216,3 +218,40 @@ def test_foreign_basis_refused_before_any_solve(sd_const_512, sd_var_512, monkey
     monkeypatch.setattr(bischro.control, "gram", no_gram)
     with pytest.raises(ValueError, match="different bases"):
         synthesize_hum_control(state, sd_var_512, 0.5, 12, sigma_l)
+
+
+def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch):
+    sd = sd_const_512
+    N, T = 12, 0.37
+    calls = []
+    eigvalsh = bischro.observability.sla.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(bischro.observability, "_last_gram", None)
+    monkeypatch.setattr(bischro.observability.sla, "eigvalsh", counted)
+    state = modal_state(sd, np.eye(N)[0] + np.eye(N)[1])
+    sigma_l = sd.sigma_at_right_end()
+    synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
+    synthesize_hum_control(state, sd, T, N, sigma_l)
+    observability_constants(sd, T, N)
+    # the Gram once, and the weight-normalized matrix of the constants
+    assert calls == [(N, N), (N, N)]
+
+
+@pytest.mark.parametrize("n_modes", [8, 32, None])
+def test_control_norm_is_the_waveform_norm(sd_const_2048, rng, n_modes):
+    # the norm is read from the Gram; a product in another memory order
+    # differs by an ulp in about one case of five, hence several states
+    sd = sd_const_2048
+    N = n_modes or sd.trusted_count
+    sigma_l = sd.sigma_at_right_end()
+    for T in (0.05, 0.5):
+        for _ in range(4):
+            state = modal_state(sd, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+            mom = synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
+            hum = synthesize_hum_control(state, sd, T, N, sigma_l)
+            for sol in (mom, hum):
+                assert sol.control_norm == ExponentialSum(sol.frequencies, sol.beta).norm(T)

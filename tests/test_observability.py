@@ -1,8 +1,11 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import bischro.observability
 from bischro import (
     beurling_density,
     boundary_output,
@@ -64,6 +67,84 @@ def test_gram_energy_identity_against_quadrature(rng):
 def test_gram_rejects_duplicate_frequencies():
     with pytest.raises(ValueError, match="duplicate"):
         gram([1.0, 2.0, 2.0], 1.0)
+
+
+def test_gram_repeated_call_returns_stored_matrix(sd_const_512):
+    lam = sd_const_512.eigenvalues[:12]
+    first = gram(lam, 0.37)
+    again = gram(lam.copy(), 0.37)  # equal bytes in another array
+    assert again.matrix is first.matrix
+    assert again.condition_estimate == first.condition_estimate
+
+
+def test_gram_one_ulp_away_recomputes(sd_const_512, monkeypatch):
+    lam = sd_const_512.eigenvalues[:12]
+    T = 0.37
+    base = gram(lam, T)
+    lam_up = lam.copy()
+    lam_up[-1] = np.nextafter(lam_up[-1], np.inf)
+    for lam_k, T_k in ((lam, np.nextafter(T, 1.0)), (lam_up, T)):
+        gs = gram(lam_k, T_k)
+        assert gs.matrix is not base.matrix
+        monkeypatch.setattr(bischro.observability, "_last_gram", None)
+        fresh = gram(lam_k, T_k)
+        assert fresh.matrix is not gs.matrix
+        assert np.array_equal(gs.matrix, fresh.matrix)
+        assert gs.condition_estimate == fresh.condition_estimate
+        gram(lam, T)  # the next case starts from the base entry
+
+
+def test_gram_matrix_is_read_only():
+    gs = gram([1.0, 3.0], 0.5)
+    assert not gs.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        gs.matrix[0, 1] = 0.0
+
+
+def test_gram_memo_consistent_under_concurrent_callers(sd_const_128, monkeypatch):
+    # threads alternating between two horizons keep replacing the entry;
+    # every call must still get the Gram and condition of its own key
+    lam = sd_const_128.eigenvalues[:8]
+    expected = {}
+    for T in (0.3, 0.7):
+        monkeypatch.setattr(bischro.observability, "_last_gram", None)
+        gs = gram(lam, T)
+        expected[T] = (gs.matrix, gs.condition_estimate)
+    errors = []
+
+    def work(first):
+        try:
+            for k in range(300):
+                T = (0.3, 0.7)[(first + k) % 2]
+                gs = gram(lam, T)
+                if not (np.array_equal(gs.matrix, expected[T][0])
+                        and gs.condition_estimate == expected[T][1]):
+                    errors.append(T)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+
+
+def test_gram_weighted_formed_on_every_call(sd_const_512):
+    lam = sd_const_512.eigenvalues[:12]
+    tr = sd_const_512.traces[:12]
+    G = gram(lam, 0.37).matrix
+    for t in (tr, 2.0 * tr):
+        gs = gram(lam, 0.37, traces=t)
+        assert gs.matrix is G
+        assert np.array_equal(gs.weighted, np.outer(t, t) * G)
 
 
 def test_boundary_output_single_mode(sd_const_128):
