@@ -6,12 +6,12 @@ exponential sum over the very frequencies being steered, with weights
 solving the Gram system.  The dual route solves instead with the
 trace-weighted coercive operator, factored once by Cholesky, and
 produces the same function, which gives a sharp cross-check.  Both
-routes take the Gram from observability.gram, which remembers its most
-recent (frequencies, horizon), so a moment/HUM pair at one horizon
-forms and conditions one Gram, and each control's norm is read from
-that Gram.  Every synthesized control is verified by an independent
-forward solve; the reported residual is never inferred from the linear
-algebra.
+routes take the Gram from observability.gram, and each control's norm
+comes from ExponentialSum.norm; both read the one cached Gram of the
+most recent (frequencies, horizon), so a moment/HUM pair at one horizon
+forms and conditions one Gram.  Every synthesized control is verified
+by an independent forward solve; the reported residual is never
+inferred from the linear algebra.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import (ExponentialSum, _check_basis, _gram_norm, evolve_controlled,
-                       modal_state, sobolev_norm)
+from .dynamics import ExponentialSum, _check_basis, evolve_controlled, modal_state, sobolev_norm
 from .observability import gram
 
 CONDITION_CAP = 1e12
@@ -83,21 +82,21 @@ def moments_for_null(state0, sd, sigma_l):
 def _verified(sd, horizon, moments, beta, gs, method, state0, sigma_l):
     """Package a control whose weights ``beta`` solve a system with the Gram ``gs``.
 
-    The norm is read from gs.matrix: its conjugate transpose holds the
-    same values in Fortran order, the order ExponentialSum.norm builds,
-    so the norm equals that method's bit for bit without a third N x N
-    phase integral.  The residual comes from evolve_controlled, which
-    forms its own phase integrals, so the verification stays independent
-    of the Gram the control was solved with.
+    The norm is the waveform's ExponentialSum.norm, which reads the Gram
+    cached for these frequencies and this horizon instead of forming
+    another N x N phase integral.  The residual comes from
+    evolve_controlled, which forms its own phase integrals, so the
+    verification stays independent of the Gram the control was solved
+    with.
     """
-    lam = sd.eigenvalues[: len(beta)]
-    norm = _gram_norm(gs.matrix.conj().T, beta)
-    final = evolve_controlled(state0, sd, sigma_l, ExponentialSum(lam, beta), horizon)
+    f = ExponentialSum(sd.eigenvalues[: len(beta)], beta)
+    norm = f.norm(horizon)
+    final = evolve_controlled(state0, sd, sigma_l, f, horizon)
     n0 = sobolev_norm(state0, -0.5)
     nT = sobolev_norm(final, -0.5)
     residual = float(nT / n0) if n0 > 0 else 0.0
     return ControlSolution(
-        horizon=float(horizon), frequencies=lam, moments=np.asarray(moments),
+        horizon=float(horizon), frequencies=f.frequencies, moments=np.asarray(moments),
         beta=beta, control_norm=norm, residual_final=residual,
         gram_condition=gs.condition_estimate, method=method,
     )
@@ -154,7 +153,7 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     if sigma_l <= 0:
         raise ValueError("sigma at the controlled end must be positive")
     traces = sd.traces[:N]
-    gs = gram(sd.eigenvalues[:N], horizon, traces=traces)
+    gs = gram(sd.eigenvalues[:N], horizon)
     _refuse_ill_conditioned(gs, condition_cap)
     m = len(state0.coefficients)
     if m > N and np.any(state0.coefficients[N:] != 0):
@@ -166,7 +165,7 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     rhs = np.zeros(N, dtype=complex)
     k = min(N, m)
     rhs[:k] = 1j * state0.coefficients[:k]
-    c = sla.cho_solve(sla.cho_factor(sigma_l * gs.weighted), rhs)
+    c = sla.cho_solve(sla.cho_factor(sigma_l * (np.outer(traces, traces) * gs.matrix)), rhs)
     beta = c * traces
     # rhs = i a(0), so the implied moments are rhs / (sigma t_n)
     moments = rhs / (sigma_l * traces)

@@ -16,6 +16,7 @@ amplitude) when f arrives as a dense tabulation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -158,21 +159,42 @@ class ExponentialSum:
         return len(self.frequencies)
 
     def norm(self, horizon):
-        """L^2(0, horizon) norm via the closed-form exponential Gram."""
+        """L^2(0, horizon) norm sqrt(w^H G w) with the cached exponential Gram G."""
+        T = _positive_horizon(horizon)
         if len(self) == 0:
             return 0.0
-        diff = np.subtract.outer(self.frequencies, self.frequencies)
-        return _gram_norm(phase_integral(diff.T, horizon), self.weights)
+        G = _phase_gram(self.frequencies.tobytes(), T)
+        # G.conj().T holds G's values in Fortran order, the order the
+        # norm has always multiplied in, so its bits do not depend on
+        # whether the Gram was formed here or by observability.gram
+        return float(np.sqrt(abs(np.real(np.vdot(self.weights, G.conj().T @ self.weights)))))
 
 
-def _gram_norm(g, weights):
-    """sqrt(w^H g w), the L^2 norm of an exponential sum with Gram g and weights w.
+def _positive_horizon(horizon):
+    """The horizon as a float, refused unless positive and finite."""
+    T = float(horizon)
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"horizon must be positive and finite, got {T!r}")
+    return T
 
-    The product's rounding depends on the memory order of ``g``:
-    ExponentialSum.norm passes a Fortran-ordered matrix, and a caller
-    that wants the same bits passes one too.
+
+@functools.lru_cache(maxsize=1)
+def _phase_gram(key, T):
+    """Read-only Hermitian Gram of exp(i lam t) on (0, T), lam = frombuffer(key).
+
+    G[m, n] = integral_0^T exp(i (lam_n - lam_m) t) dt; the diagonal is
+    exactly T.  One entry serves the real traffic, consecutive calls at
+    one (lambda, T): a moment/HUM pair, their norms and agreement norm,
+    an observability cell.  Frequencies are not checked for duplicates;
+    observability.gram refuses those before asking for a solve.
     """
-    return float(np.sqrt(abs(np.real(np.vdot(weights, g @ weights)))))
+    lam = np.frombuffer(key)
+    delta = np.subtract.outer(lam, lam)      # delta[m, n] = lam_m - lam_n
+    G = np.asarray(phase_integral(-delta, T))
+    np.fill_diagonal(G, T)
+    G = 0.5 * (G + G.conj().T)               # Hermitian to the last bit
+    G.flags.writeable = False
+    return G
 
 
 def phase_integral(omega, horizon):
@@ -268,8 +290,7 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
     refused outright rather than silently dephased.
     """
     _check_basis(state0, sd)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    horizon = _positive_horizon(horizon)
     lam = state0.frequencies
     traces = sd.traces[: len(lam)]
 

@@ -7,6 +7,10 @@ finitely many exponentials with distinct frequencies form a Riesz
 sequence in L^2(0, T), the trace-weighted Gram matrix is positive
 definite, and its extreme eigenvalues against the clamped-H^2 weights
 give computable two-sided observability constants at truncation level.
+The Gram itself is built and cached in one place, dynamics._phase_gram,
+which ExponentialSum.norm reads too; gram adds the duplicate-frequency
+check and the condition estimate, and the trace weighting is formed
+where it is used.
 
 Also hosts the Beurling upper-density window estimator; for this
 operator the eigenvalue gaps grow cubically, so the estimate decays
@@ -15,91 +19,63 @@ toward zero with the window length.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import ExponentialSum, phase_integral
+from .dynamics import ExponentialSum, _phase_gram, _positive_horizon
 from .reports import ReportTable
 
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Hermitian matrix G[m, n] = integral_0^T exp(i (lambda_n - lambda_m) t) dt."""
+    """Hermitian matrix G[m, n] = integral_0^T exp(i (lambda_n - lambda_m) t) dt
+    and its 2-norm condition; callers form any trace weighting themselves."""
 
     matrix: np.ndarray = field(repr=False)
-    weighted: np.ndarray | None = field(repr=False)
     condition_estimate: float
 
 
-# (lambda bytes, horizon, G, condition) of the most recent gram call.  One
-# entry serves the real traffic, consecutive calls at one (lambda, T): a
-# moment/HUM pair, a sweep over states, an observability cell.  Swapping
-# the whole tuple in one assignment keeps concurrent callers consistent;
-# a race costs at most a recomputation.
-_last_gram = None
-
-
 @serial_blas
-def gram(lambdas, horizon, traces=None):
+def gram(lambdas, horizon):
     """Exponential Gram matrix on (0, horizon), closed-form entries.
 
     Off-diagonals are (exp(i dT) - 1)/(i d); the diagonal is exactly the
     horizon.  Duplicate frequencies are rejected, they would make the
-    family degenerate.  When ``traces`` is given the trace-weighted
-    matrix t_m t_n G[m, n] is attached as well.
+    family degenerate, and so are horizons that are not positive and
+    finite.
 
-    The most recent (lambdas, horizon), compared by the exact bytes of
-    the frequencies and the float horizon, is remembered: a repeated call
-    returns the same read-only matrix and condition estimate without
-    forming or eigen-decomposing it again.  The weighted matrix is formed
-    on every call.
+    The matrix is the one dynamics caches for ExponentialSum.norm, and
+    the most recent (lambdas, horizon), compared by the exact bytes of
+    the frequencies and the float horizon, is remembered with its
+    condition: a repeated call returns the same read-only matrix and
+    condition estimate without forming or eigen-decomposing it again.
     """
-    global _last_gram
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
         raise ValueError("lambdas must be a nonempty 1-d sequence")
-    T = float(horizon)
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    key = lam.tobytes()
-    last = _last_gram
-    if last is not None and last[0] == key and last[1] == T:
-        G, cond = last[2], last[3]
-    else:
-        G, cond = _exponential_gram(lam, T)
-        _last_gram = (key, T, G, cond)
-
-    weighted = None
-    if traces is not None:
-        t = np.asarray(traces, dtype=float)
-        if t.shape != lam.shape:
-            raise ValueError("traces must match lambdas in length")
-        weighted = np.outer(t, t) * G
-    return GramSystem(matrix=G, weighted=weighted, condition_estimate=cond)
+    return _gram(lam.tobytes(), _positive_horizon(horizon))
 
 
-def _exponential_gram(lam, T):
-    """Read-only Hermitian Gram of exp(i lam t) on (0, T) and its 2-norm condition."""
-    delta = np.subtract.outer(lam, lam)      # delta[m, n] = lam_m - lam_n
+@functools.lru_cache(maxsize=1)
+def _gram(key, T):
+    """GramSystem of the frequencies frombuffer(key) on (0, T)."""
+    lam = np.frombuffer(key)
     if len(lam) > 1:
         span = max(lam.max() - lam.min(), 1.0)
-        diff = np.abs(delta)
+        diff = np.abs(np.subtract.outer(lam, lam))
         np.fill_diagonal(diff, np.inf)
         if diff.min() <= 1e-12 * span:
             i, j = np.unravel_index(np.argmin(diff), diff.shape)
             raise ValueError(f"duplicate frequencies at indices {i} and {j}")
 
-    G = np.asarray(phase_integral(-delta, T))
-    np.fill_diagonal(G, T)
-    G = 0.5 * (G + G.conj().T)               # Hermitian to the last bit
-    G.flags.writeable = False
-
+    G = _phase_gram(key, T)
     w = sla.eigvalsh(G)
     cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
-    return G, cond
+    return GramSystem(matrix=G, condition_estimate=cond)
 
 
 def boundary_output(state, t):
@@ -140,9 +116,9 @@ def observability_constants(sd, horizon, n_modes):
         raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
     lam = sd.eigenvalues[:N]
     tr = sd.traces[:N]
-    gs = gram(lam, horizon, traces=tr)
+    gs = gram(lam, horizon)
     scale = 1.0 / np.sqrt(lam)
-    B = gs.weighted * np.outer(scale, scale)
+    B = np.outer(tr, tr) * gs.matrix * np.outer(scale, scale)
     w = sla.eigvalsh(B)
     c_lo, c_hi = float(w[0]), float(w[-1])
     density = beurling_density(lam).estimate if N >= 2 else 0.0

@@ -4,6 +4,8 @@ by the acceptance suite."""
 import numpy as np
 import pytest
 
+import bischro.dynamics
+import bischro.observability
 from bischro import assemble, build_profile, constant_profile, geometry, solve_spectrum
 
 VAR_PROFILE_SPEC = {
@@ -72,3 +74,12 @@ def sd_var_2048(var_profile):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def cold_gram_cache():
+    """Empty both exponential-Gram caches: the Gram and its condition."""
+    def clear():
+        bischro.observability._gram.cache_clear()
+        bischro.dynamics._phase_gram.cache_clear()
+    return clear

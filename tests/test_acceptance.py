@@ -141,10 +141,10 @@ def test_criterion_7_observability_constants(sd_const_512, rng):
         traces = sd_const_512.traces[:N]
         for T, rep in reports.items():
             assert rep.c_lower > 0 and not rep.resolution_failure
-            gs = gram(lam, T, traces=traces)
+            weighted = np.outer(traces, traces) * gram(lam, T).matrix
             for _ in range(100):
                 c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                q = float(np.real(np.vdot(c, gs.weighted @ c))
+                q = float(np.real(np.vdot(c, weighted @ c))
                           / np.sum(lam * np.abs(c) ** 2))
                 assert rep.c_lower * (1 - 1e-8) <= q <= rep.c_upper * (1 + 1e-8)
         assert reports[1.0].c_lower >= reports[0.1].c_lower * (1 - 1e-12)

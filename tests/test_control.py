@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bischro.control
+import bischro.dynamics
 import bischro.observability
 from bischro import (
     ConditioningError,
@@ -13,6 +14,7 @@ from bischro import (
     modal_state,
     moments_for_null,
     observability_constants,
+    phase_integral,
     sobolev_norm,
     synthesize_hum_control,
     synthesize_moment_control,
@@ -91,7 +93,8 @@ def test_doubling_horizon_never_costs_more(sd_const_512, rng):
 
 def _hum_operator(sd, T, N, sigma_l):
     # the operator synthesize_hum_control factors: sigma(ell) t_m t_n G[m, n]
-    return sigma_l * gram(sd.eigenvalues[:N], T, traces=sd.traces[:N]).weighted
+    tr = sd.traces[:N]
+    return sigma_l * (np.outer(tr, tr) * gram(sd.eigenvalues[:N], T).matrix)
 
 
 def test_hum_operator_scalar_case(sd_const_128):
@@ -220,30 +223,48 @@ def test_foreign_basis_refused_before_any_solve(sd_const_512, sd_var_512, monkey
         synthesize_hum_control(state, sd_var_512, 0.5, 12, sigma_l)
 
 
-def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch):
+def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_cache):
     sd = sd_const_512
     N, T = 12, 0.37
     calls = []
+    phases = []
     eigvalsh = bischro.observability.sla.eigvalsh
+    phase = bischro.dynamics.phase_integral
 
     def counted(a, *args, **kwargs):
         calls.append(a.shape)
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(bischro.observability, "_last_gram", None)
+    def counted_phase(omega, horizon):
+        phases.append(np.shape(omega))
+        return phase(omega, horizon)
+
+    cold_gram_cache()
     monkeypatch.setattr(bischro.observability.sla, "eigvalsh", counted)
+    monkeypatch.setattr(bischro.dynamics, "phase_integral", counted_phase)
     state = modal_state(sd, np.eye(N)[0] + np.eye(N)[1])
     sigma_l = sd.sigma_at_right_end()
-    synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
-    synthesize_hum_control(state, sd, T, N, sigma_l)
+    mom = synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
+    hum = synthesize_hum_control(state, sd, T, N, sigma_l)
+    ExponentialSum(mom.frequencies, mom.beta - hum.beta).norm(T)
     observability_constants(sd, T, N)
     # the Gram once, and the weight-normalized matrix of the constants
     assert calls == [(N, N), (N, N)]
+    # the Gram once (both norms and the agreement norm read it), and one
+    # independent forward verification per control
+    assert phases == [(N, N), (N, N), (N, N)]
+
+
+def _closed_form_norm(frequencies, weights, T):
+    # the L^2 norm as ExponentialSum.norm has always formed it: a
+    # Fortran-ordered phase-integral matrix, no cache
+    g = phase_integral(np.subtract.outer(frequencies, frequencies).T, T)
+    return float(np.sqrt(abs(np.real(np.vdot(weights, g @ weights)))))
 
 
 @pytest.mark.parametrize("n_modes", [8, 32, None])
-def test_control_norm_is_the_waveform_norm(sd_const_2048, rng, n_modes):
-    # the norm is read from the Gram; a product in another memory order
+def test_control_norm_bits_match_closed_form(sd_const_2048, rng, n_modes, cold_gram_cache):
+    # the norms read the cached Gram; a product in another memory order
     # differs by an ulp in about one case of five, hence several states
     sd = sd_const_2048
     N = n_modes or sd.trusted_count
@@ -254,4 +275,41 @@ def test_control_norm_is_the_waveform_norm(sd_const_2048, rng, n_modes):
             mom = synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
             hum = synthesize_hum_control(state, sd, T, N, sigma_l)
             for sol in (mom, hum):
-                assert sol.control_norm == ExponentialSum(sol.frequencies, sol.beta).norm(T)
+                expected = _closed_form_norm(sol.frequencies, sol.beta, T)
+                assert sol.control_norm == expected
+                cold_gram_cache()
+                f = sol.waveform()
+                assert f.norm(T) == expected       # cold: the norm forms the Gram
+                assert f.norm(T) == expected       # warm: it reads its own entry
+
+
+def test_norm_bits_match_closed_form_unsorted_repeated(rng, cold_gram_cache):
+    # unsorted, one frequency twice: no solve would accept these, the norm must
+    freqs = np.array([37.5, 2.0, 911.25, -4.0, 2.0, 0.0, 150.3, 1e-3])
+    for T in (0.009, 0.3, 1.0):
+        for _ in range(6):
+            w = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+            expected = _closed_form_norm(freqs, w, T)
+            cold_gram_cache()
+            assert ExponentialSum(freqs, w).norm(T) == expected
+            assert ExponentialSum(freqs, w).norm(T) == expected
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0])
+def test_nonpositive_or_nonfinite_horizon_refused(sd_const_128, horizon):
+    sd = sd_const_128
+    state = modal_state(sd, np.ones(4))
+    sigma_l = sd.sigma_at_right_end()
+    f = ExponentialSum([1.0, 2.0], [1.0, 1.0])
+    calls = (
+        lambda: gram(sd.eigenvalues[:4], horizon),
+        lambda: f.norm(horizon),
+        lambda: ExponentialSum([], []).norm(horizon),
+        lambda: evolve_controlled(state, sd, sigma_l, f, horizon),
+        lambda: synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, horizon),
+        lambda: synthesize_hum_control(state, sd, horizon, 4, sigma_l),
+        lambda: observability_constants(sd, horizon, 4),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            call()

@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 
-import bischro.observability
 from bischro import (
     beurling_density,
     boundary_output,
@@ -77,7 +76,7 @@ def test_gram_repeated_call_returns_stored_matrix(sd_const_512):
     assert again.condition_estimate == first.condition_estimate
 
 
-def test_gram_one_ulp_away_recomputes(sd_const_512, monkeypatch):
+def test_gram_one_ulp_away_recomputes(sd_const_512, cold_gram_cache):
     lam = sd_const_512.eigenvalues[:12]
     T = 0.37
     base = gram(lam, T)
@@ -86,7 +85,7 @@ def test_gram_one_ulp_away_recomputes(sd_const_512, monkeypatch):
     for lam_k, T_k in ((lam, np.nextafter(T, 1.0)), (lam_up, T)):
         gs = gram(lam_k, T_k)
         assert gs.matrix is not base.matrix
-        monkeypatch.setattr(bischro.observability, "_last_gram", None)
+        cold_gram_cache()
         fresh = gram(lam_k, T_k)
         assert fresh.matrix is not gs.matrix
         assert np.array_equal(gs.matrix, fresh.matrix)
@@ -101,13 +100,13 @@ def test_gram_matrix_is_read_only():
         gs.matrix[0, 1] = 0.0
 
 
-def test_gram_memo_consistent_under_concurrent_callers(sd_const_128, monkeypatch):
+def test_gram_memo_consistent_under_concurrent_callers(sd_const_128, cold_gram_cache):
     # threads alternating between two horizons keep replacing the entry;
     # every call must still get the Gram and condition of its own key
     lam = sd_const_128.eigenvalues[:8]
     expected = {}
     for T in (0.3, 0.7):
-        monkeypatch.setattr(bischro.observability, "_last_gram", None)
+        cold_gram_cache()
         gs = gram(lam, T)
         expected[T] = (gs.matrix, gs.condition_estimate)
     errors = []
@@ -135,16 +134,6 @@ def test_gram_memo_consistent_under_concurrent_callers(sd_const_128, monkeypatch
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-
-
-def test_gram_weighted_formed_on_every_call(sd_const_512):
-    lam = sd_const_512.eigenvalues[:12]
-    tr = sd_const_512.traces[:12]
-    G = gram(lam, 0.37).matrix
-    for t in (tr, 2.0 * tr):
-        gs = gram(lam, 0.37, traces=t)
-        assert gs.matrix is G
-        assert np.array_equal(gs.weighted, np.outer(t, t) * G)
 
 
 def test_boundary_output_single_mode(sd_const_128):
@@ -194,10 +183,10 @@ def test_sampled_quotients_inside_bounds(sd_const_512, rng):
     assert rep.c_lower > 0 and not rep.resolution_failure
     lam = sd.eigenvalues[:N]
     tr = sd.traces[:N]
-    gs = gram(lam, T, traces=tr)
+    weighted = np.outer(tr, tr) * gram(lam, T).matrix
     for _ in range(100):
         c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        num = float(np.real(np.vdot(c, gs.weighted @ c)))
+        num = float(np.real(np.vdot(c, weighted @ c)))
         den = float(np.sum(lam * np.abs(c) ** 2))
         q = num / den
         assert rep.c_lower * (1 - 1e-8) <= q <= rep.c_upper * (1 + 1e-8)
