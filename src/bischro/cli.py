@@ -134,7 +134,7 @@ def _run_spectrum(config, sd, report):
 
 
 def _run_asymptotics(config, sd, report):
-    geo = geometry(sd.op.profile, config.quadrature_order)
+    geo = geometry(sd.op.profile)
     files = {
         fname: _csv(table.name, table.columns, table.rows)
         for table, fname in (

@@ -15,8 +15,9 @@ high-frequency behaviour of the spectrum:
     phase(x)       = the same integral truncated at x
     amplitude(x)   = ( rho(x)^(3/4) sigma(x)^(1/4) )^(-1/2)
 
-Both integrals use a fixed composite Gauss-Legendre rule, so identical
-inputs give bit-identical geometry.
+Both integrals use a composite Gauss-Legendre rule of fixed order
+DEFAULT_ORDER, so identical inputs give bit-identical geometry; orders 4
+to 8 all give the optical length to rounding, order 2 loses up to 1.2e-11.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ class WaveGeometry:
 
     profile: CoefficientProfile
     cells: int
-    order: int
     optical_length: float
     error_estimate: float
     _edges: np.ndarray = field(repr=False)
@@ -207,7 +207,7 @@ class WaveGeometry:
         h = self._edges[1] - self._edges[0]
         idx = np.clip((xv / h).astype(int), 0, self.cells - 1)
         left = self._edges[idx]
-        gx, gw = _gauss_rule(self.order)
+        gx, gw = _gauss_rule(DEFAULT_ORDER)
         span = xv - left
         pts = left[:, None] + span[:, None] * gx[None, :]
         vals = self.integrand(pts)
@@ -216,10 +216,8 @@ class WaveGeometry:
         return float(out[0]) if scalar else out
 
 
-def geometry(profile, quadrature_order=DEFAULT_ORDER, cells=DEFAULT_CELLS):
+def geometry(profile, *, cells=DEFAULT_CELLS):
     """Tabulate the wave geometry of a profile with composite Gauss quadrature."""
-    if quadrature_order < 2:
-        raise ValueError(f"quadrature_order must be >= 2, got {quadrature_order}")
     if cells < 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
     edges = np.linspace(0.0, profile.length, cells + 1)
@@ -230,8 +228,8 @@ def geometry(profile, quadrature_order=DEFAULT_ORDER, cells=DEFAULT_CELLS):
         pts = edges[:-1, None] + gx[None, :] * h
         return h * (_quarter_power(profile, pts) @ gw), pts
 
-    base, nodes = cell_integrals(quadrature_order)
-    refined, _ = cell_integrals(2 * quadrature_order)
+    base, nodes = cell_integrals(DEFAULT_ORDER)
+    refined, _ = cell_integrals(2 * DEFAULT_ORDER)
     total = float(np.sum(base))
     estimate = float(np.abs(np.sum(refined) - np.sum(base)))
     cumulative = np.concatenate([[0.0], np.cumsum(base)])
@@ -239,7 +237,6 @@ def geometry(profile, quadrature_order=DEFAULT_ORDER, cells=DEFAULT_CELLS):
     geo = WaveGeometry(
         profile=profile,
         cells=cells,
-        order=quadrature_order,
         optical_length=total,
         error_estimate=estimate,
         _edges=edges,

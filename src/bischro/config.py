@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass
 
-from .coefficients import DEFAULT_ORDER
 from .control import CONDITION_CAP
 from .operator import constrained_dimension, trusted_count
 
@@ -44,7 +43,6 @@ class ExperimentConfig:
     elements: int
     modes: int
     horizons: tuple
-    quadrature_order: int
     output: str
     profile_spec: dict
     initial_coefficients: tuple
@@ -87,7 +85,6 @@ _KEYS = {
         "modes": (_literal, lambda v: _int(v, 1), "must be a positive integer"),
         "horizons": (_literal, lambda v: _items(v, lambda t: _real(t) and t > 0),
                      "must be a nonempty list of positive reals"),
-        "quadrature_order": (_literal, lambda v: _int(v, 2), "must be an integer >= 2"),
         "output": (_word, lambda v: True, ""),
         "condition_cap": _POSITIVE,
         "export_matrices": (_flag, lambda v: isinstance(v, bool), "must be true or false"),
@@ -220,7 +217,6 @@ def parse_config(text):
     return ExperimentConfig(
         kind=kind, elements=elements, modes=modes,
         horizons=tuple(float(t) for t in values.get("horizons", ())),
-        quadrature_order=values.get("quadrature_order", DEFAULT_ORDER),
         output=values.get("output", "out"),
         profile_spec={"length": float(values["length"]),
                       **{name: _coefficient(values, name) for name in _COEFFICIENTS}},

@@ -3,15 +3,16 @@
 Steering the first N modes to rest at time T fixes N oscillatory moments
 of the control; the minimum-L^2-norm control satisfying them is an
 exponential sum over the very frequencies being steered, with weights
-solving the Gram system.  The dual route solves instead with the
-trace-weighted coercive operator, factored once by Cholesky, and
-produces the same function, which gives a sharp cross-check.  Both
-routes take the Gram from observability.gram, and each control's norm
-comes from ExponentialSum.norm; both read the one cached Gram of the
-most recent (frequencies, horizon), so a moment/HUM pair at one horizon
-forms and conditions one Gram.  Every synthesized control is verified
-by an independent forward solve; the reported residual is never
-inferred from the linear algebra.
+solving the Gram system.  The dual route factors instead the coercive
+operator Lambda = sigma(ell) D G D, D = diag(t), by Cholesky; in exact
+arithmetic it returns the moment route's weights, so the gap between the
+routes measures rounding only.  Both routes read the one cached Gram of
+the most recent (frequencies, horizon) from observability.gram, as does
+ExponentialSum.norm, so a moment/HUM pair at one horizon forms and
+conditions one Gram.  The independent check is the forward solve: every
+control is verified by evolving the caller's state with the basis's own
+sigma(ell); the reported residual is never inferred from the linear
+algebra.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import ExponentialSum, _check_basis, evolve_controlled, modal_state, sobolev_norm
+from .dynamics import ExponentialSum, _check_problem, evolve_controlled, modal_state, sobolev_norm
 from .observability import gram
+from .spectrum import TRACE_FLOOR
 
 CONDITION_CAP = 1e12
-TRACE_FLOOR = 1e-9
 
 
 class ConditioningError(RuntimeError):
@@ -58,25 +59,17 @@ class ControlSolution:
 def moments_for_null(state0, sd, sigma_l):
     """Moments m_n = i a_n(0) / (sigma(ell) t_n) that a null control must meet.
 
-    A mode whose trace magnitude is below TRACE_FLOOR cannot be steered
-    through the boundary; it is excluded (zero moment) with a warning.
-    A state expanded in another basis than ``sd`` is refused.
+    A sigma_l other than ``sd.sigma_at_right_end()``, a state of another
+    basis, and a state holding a mode whose trace lies below
+    spectrum.TRACE_FLOOR (which the boundary cannot steer) are refused.
     """
-    _check_basis(state0, sd)
-    if sigma_l <= 0:
-        raise ValueError("sigma at the controlled end must be positive")
+    _check_problem(state0, sd, sigma_l)
     traces = sd.traces[: len(state0.coefficients)]
-    mask = np.abs(traces) >= TRACE_FLOOR
-    moments = np.zeros(len(traces), dtype=complex)
-    moments[mask] = 1j * state0.coefficients[mask] / (sigma_l * traces[mask])
-    excluded = (np.flatnonzero(~mask) + 1).tolist()
-    if excluded:
-        warnings.warn(
-            f"modes {excluded} have boundary traces below {TRACE_FLOOR:g} "
-            "and were excluded from the moment problem",
-            stacklevel=2,
-        )
-    return moments
+    weak = np.flatnonzero(np.abs(traces) < TRACE_FLOOR) + 1
+    if len(weak):
+        raise ValueError(f"modes {weak.tolist()} have boundary traces below "
+                         f"{TRACE_FLOOR:g} and cannot be steered from the boundary")
+    return 1j * state0.coefficients / (sigma_l * traces)
 
 
 def _verified(sd, horizon, moments, beta, gs, method, state0, sigma_l):
@@ -84,10 +77,9 @@ def _verified(sd, horizon, moments, beta, gs, method, state0, sigma_l):
 
     The norm is the waveform's ExponentialSum.norm, which reads the Gram
     cached for these frequencies and this horizon instead of forming
-    another N x N phase integral.  The residual comes from
-    evolve_controlled, which forms its own phase integrals, so the
-    verification stays independent of the Gram the control was solved
-    with.
+    another N x N phase integral.  The residual comes from the forward
+    solve, which forms its own phase integrals, so the verification
+    stays independent of the Gram the control was solved with.
     """
     f = ExponentialSum(sd.eigenvalues[: len(beta)], beta)
     norm = f.norm(horizon)
@@ -142,16 +134,15 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     Hermitian positive definite operator and emits f(t) = sum_k c_k t_k
     exp(i lambda_k t), the boundary output of the free solution with
     datum sum c_k phi_k; Lambda = sigma(ell) t_m t_n G[m, n] is the
-    boundary-output energy form.  A state from another basis than ``sd``
-    is refused; the control is verified by forward solve of the original
-    state, including any modes beyond the steered range.
+    boundary-output energy form.  A sigma_l other than
+    ``sd.sigma_at_right_end()`` or a state of another basis is refused
+    before any Gram is formed; the control is verified by forward solve
+    of the original state, including any modes beyond the steered range.
     """
-    _check_basis(state0, sd)
+    _check_problem(state0, sd, sigma_l)
     N = int(n_modes)
     if N < 1 or N > sd.trusted_count:
         raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
-    if sigma_l <= 0:
-        raise ValueError("sigma at the controlled end must be positive")
     traces = sd.traces[:N]
     gs = gram(sd.eigenvalues[:N], horizon)
     _refuse_ill_conditioned(gs, condition_cap)

@@ -67,9 +67,14 @@ def modal_state(sd, coefficients, projection_residual=None):
                       projection_residual=projection_residual)
 
 
-def _check_basis(state, sd):
+def _check_problem(state, sd, sigma_l):
+    """Refuse a state of another basis or a sigma_l other than the basis's sigma(ell)."""
     if state.basis is not sd:
         raise ValueError("state and spectral data refer to different bases")
+    own = sd.sigma_at_right_end()
+    if sigma_l != own:
+        raise ValueError(f"sigma_l = {sigma_l} differs from sigma(ell) = {own} of the "
+                         "basis; pass sd.sigma_at_right_end()")
 
 
 @serial_blas
@@ -148,8 +153,8 @@ class ExponentialSum:
     def __post_init__(self):
         object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
-        if self.frequencies.shape != self.weights.shape:
-            raise ValueError("frequencies and weights must have matching shapes")
+        if self.frequencies.ndim != 1 or self.frequencies.shape != self.weights.shape:
+            raise ValueError("frequencies and weights must be 1-d arrays of one length")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -283,13 +288,14 @@ def filon_moment(ts, fs, omega):
 def evolve_controlled(state0, sd, sigma_l, f, horizon):
     """Forward solve of the boundary-controlled system over [0, horizon].
 
-    ``f`` is an :class:`ExponentialSum` (moments integrate in closed form)
-    or a ``(ts, fs)`` tabulation on a uniform grid covering [0, horizon]
-    (Filon-Simpson moments).  A tabulation with fewer than
-    SAMPLES_PER_PERIOD points per period of the fastest retained mode is
-    refused outright rather than silently dephased.
+    A sigma_l other than ``sd.sigma_at_right_end()`` or a state of another
+    basis is refused.  ``f`` is an :class:`ExponentialSum` (moments
+    integrate in closed form) or a ``(ts, fs)`` tabulation on a uniform
+    grid covering [0, horizon] (Filon-Simpson moments).  A tabulation
+    with fewer than SAMPLES_PER_PERIOD points per period of the fastest
+    retained mode is refused outright rather than silently dephased.
     """
-    _check_basis(state0, sd)
+    _check_problem(state0, sd, sigma_l)
     horizon = _positive_horizon(horizon)
     lam = state0.frequencies
     traces = sd.traces[: len(lam)]

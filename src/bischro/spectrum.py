@@ -14,6 +14,7 @@ this operator, which is what makes every mode visible from the boundary).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,8 @@ from .operator import (DiscreteOperator, band_matvec, band_to_dense, boundary_tr
 
 RESIDUAL_TOL = 1e-8
 # validate_spectrum flags: relative neighbor gap, right-end trace magnitude
-# and deviation of the mode Gram from the identity
+# and deviation of the mode Gram from the identity; control.moments_for_null
+# refuses to steer a mode whose trace lies below TRACE_FLOOR
 GAP_TOL = 1e-8
 TRACE_FLOOR = 1e-6
 ORTHO_TOL = 1e-10
@@ -62,6 +64,11 @@ class SpectralData:
         return len(self.eigenvalues)
 
     def sigma_at_right_end(self):
+        return self._sigma_at_right_end
+
+    @functools.cached_property
+    def _sigma_at_right_end(self):
+        # read by every control call; a sampled sigma costs ~11 us to evaluate
         p = self.op.profile
         return float(p.sigma(p.length))
 

@@ -105,11 +105,6 @@ def test_refinement_within_error_estimate(var_profile):
     )
 
 
-def test_rejects_bad_quadrature_order(const_profile):
-    with pytest.raises(ValueError, match="quadrature_order"):
-        geometry(const_profile, quadrature_order=1)
-
-
 def test_sampled_profile_runs_whole_pipeline():
     # monotone-cubic interpolation of linear data is exact, so the sampled
     # and polynomial representations must produce the same spectrum

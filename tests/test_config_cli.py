@@ -28,7 +28,6 @@ def test_parse_minimal_config():
     assert cfg.kind == "spectrum"
     assert cfg.elements == 64
     assert cfg.modes == 6
-    assert cfg.quadrature_order == 4
     assert cfg.profile_spec["rho"] == {"poly": [1.0]}
 
 
@@ -50,11 +49,11 @@ def test_negative_elements_error_names_field_and_line():
 
 def test_comments_after_values_are_ignored():
     text = CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5]\n"
-                               "quadrature_order = 6\noutput = runs/ctl\n"
+                               "output = runs/ctl\n"
                                "condition_cap = 1e10\nexport_matrices = true")
     commented = "\n".join(line + "  # note" if "=" in line else line
                            for line in text.splitlines())
-    assert commented.count("# note") == 13  # every key of the config
+    assert commented.count("# note") == 12  # every key of the config
     assert parse_config(commented) == parse_config(text)
 
 

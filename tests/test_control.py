@@ -37,15 +37,15 @@ def test_moments_scale_linearly(sd_const_128, rng):
     assert m2 == pytest.approx(s * m1, rel=1e-14)
 
 
-def test_vanishing_trace_excluded_with_warning(sd_const_128):
+def test_vanishing_trace_refused(sd_const_128):
+    # a zero moment for an unsteerable mode would verify a state without
+    # that mode while the caller's state keeps it
     doctored = dataclasses.replace(
         sd_const_128, traces=np.where(np.arange(sd_const_128.count) == 1,
                                       1e-12, sd_const_128.traces))
     state = modal_state(doctored, np.ones(4))
-    with pytest.warns(UserWarning, match=r"modes \[2\]"):
-        m = moments_for_null(state, doctored, 1.0)
-    assert m[1] == 0
-    assert np.all(m[[0, 2, 3]] != 0)
+    with pytest.raises(ValueError, match=r"modes \[2\] have boundary traces below"):
+        moments_for_null(state, doctored, 1.0)
 
 
 def test_single_mode_moment_control_annihilates(sd_const_128):
@@ -198,13 +198,28 @@ def test_conditioning_cap_refusal(sd_const_128):
         synthesize_hum_control(state, sd, 1e-9, 8, 1.0)
 
 
-@pytest.mark.parametrize("sigma_l", [0.0, -1.0])
-def test_nonpositive_sigma_rejected(sd_const_128, sigma_l):
-    state = modal_state(sd_const_128, np.ones(4))
-    with pytest.raises(ValueError, match="must be positive"):
-        moments_for_null(state, sd_const_128, sigma_l)
-    with pytest.raises(ValueError, match="must be positive"):
-        synthesize_hum_control(state, sd_const_128, 0.5, 4, sigma_l)
+@pytest.mark.parametrize("factor", [2.0, 0.5, 0.0, -1.0])
+def test_foreign_sigma_refused_before_any_gram(sd_var_512, monkeypatch, factor):
+    # a control solved and verified with another sigma(ell) reports a
+    # null residual while the caller's state keeps its energy
+    sd = sd_var_512
+    sigma_l = factor * sd.sigma_at_right_end()
+    state = modal_state(sd, np.eye(12)[0] + np.eye(12)[1])
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram formed for a foreign sigma(ell)")
+
+    monkeypatch.setattr(bischro.control, "gram", no_gram)
+    monkeypatch.setattr(bischro.dynamics, "phase_integral", no_gram)
+    f = ExponentialSum(sd.eigenvalues[:2], [1.0, 1.0])
+    calls = (
+        lambda: moments_for_null(state, sd, sigma_l),
+        lambda: synthesize_hum_control(state, sd, 0.5, 12, sigma_l),
+        lambda: evolve_controlled(state, sd, sigma_l, f, 0.5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"differs from sigma\(ell\) = 1\.5"):
+            call()
 
 
 def test_foreign_basis_refused_before_any_solve(sd_const_512, sd_var_512, monkeypatch):

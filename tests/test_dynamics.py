@@ -219,6 +219,13 @@ def test_filon_requires_odd_uniform_grid():
 
 # ---- controlled evolution --------------------------------------------------
 
+@pytest.mark.parametrize("frequencies, weights", [(3.0, 2.0), ([[1.0, 2.0]], [[1.0, 0.5j]])])
+def test_exponential_sum_refuses_non_vector_data(frequencies, weights):
+    # such a sum used to construct, then fail inside its call or its norm
+    with pytest.raises(ValueError, match="1-d arrays"):
+        ExponentialSum(frequencies, weights)
+
+
 def test_zero_control_bitwise_matches_free(sd_const_128, rng):
     state = modal_state(sd_const_128, rng.standard_normal(8) + 1j * rng.standard_normal(8))
     free = evolve_free(state, 0.37)
@@ -242,11 +249,12 @@ def test_single_mode_resonant_control_closed_form(sd_const_128):
     assert out.coefficients[0] == pytest.approx(oracle[0], rel=1e-9)
 
 
-def test_controlled_solve_matches_rk_oracle(sd_const_128, rng):
+def test_controlled_solve_matches_rk_oracle(sd_var_512, rng):
     lambdas = np.array([1.3, 4.7, 9.2, 33.0])
     traces = np.array([0.8, 1.7, 2.2, 3.9])
-    sd = synthetic_basis(sd_const_128, lambdas, traces)
-    sigma_l = 1.4
+    sd = synthetic_basis(sd_var_512, lambdas, traces)
+    sigma_l = sd.sigma_at_right_end()
+    assert sigma_l == 1.5
     T = 0.9
     for _ in range(5):
         a0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -274,16 +282,16 @@ def test_controlled_solve_linear_in_control(sd_const_128, rng):
     assert r_sum == pytest.approx(r1 + r2 - free, rel=1e-12)
 
 
-def test_tabulated_control_matches_closed_form(sd_const_128):
+def test_tabulated_control_matches_closed_form(sd_var_512):
     lambdas = np.array([2.0, 11.0, 29.0])
     traces = np.array([1.0, 1.5, 2.5])
-    sd = synthetic_basis(sd_const_128, lambdas, traces)
+    sd = synthetic_basis(sd_var_512, lambdas, traces)  # sigma(ell) = 1.5
     f = ExponentialSum(np.array([3.0, 8.0]), np.array([1.0, -0.5j]))
     T = 1.2
     state = modal_state(sd, np.array([1.0, -1.0j, 0.3]))
-    exact = evolve_controlled(state, sd, 2.0, f, T)
+    exact = evolve_controlled(state, sd, sd.sigma_at_right_end(), f, T)
     ts = np.linspace(0, T, 3001)
-    tab = evolve_controlled(state, sd, 2.0, (ts, f(ts)), T)
+    tab = evolve_controlled(state, sd, sd.sigma_at_right_end(), (ts, f(ts)), T)
     assert tab.coefficients == pytest.approx(exact.coefficients, rel=1e-8)
 
 
@@ -295,9 +303,9 @@ def test_tabulated_control_high_frequency_modes(sd_const_128):
     f = ExponentialSum(np.array([0.0, 40.0, 350.0]), np.array([1.0, -0.5j, 0.25]))
     T = 0.05
     state = modal_state(sd, np.zeros(3))  # the final state is the moment term alone
-    exact = evolve_controlled(state, sd, 1.3, f, T)
+    exact = evolve_controlled(state, sd, sd.sigma_at_right_end(), f, T)
     ts = np.linspace(0, T, 160001)
-    tab = evolve_controlled(state, sd, 1.3, (ts, f(ts)), T)
+    tab = evolve_controlled(state, sd, sd.sigma_at_right_end(), (ts, f(ts)), T)
     assert tab.coefficients == pytest.approx(exact.coefficients, rel=1e-8)
 
 

@@ -3,14 +3,50 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bischro import assemble, constant_profile, solve_spectrum, validate_spectrum
+from bischro import assemble, build_profile, constant_profile, solve_spectrum, validate_spectrum
 from bischro.operator import band_matvec
 
-from .oracles import CLAMPED_ROOTS, beam_roots
+from .oracles import CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum
+
+# a smooth variable profile with every coefficient non-constant:
+# rho = 1 + x/2, sigma = 1 + 0.3 x + 0.2 x^2, q = 0.4 x (1 - x)
+ORACLE_POLYS = {"rho": [1.0, 0.5], "sigma": [1.0, 0.3, 0.2], "q": [0.0, 0.4, -0.4]}
+
+
+def _galerkin(size=48):
+    rho, sigma, q = (lambda x, c=ORACLE_POLYS[k]: np.polynomial.polynomial.polyval(x, c)
+                     for k in ("rho", "sigma", "q"))
+    return galerkin_clamped_spectrum(rho, sigma, q, 1.0, 10, size=size)
 
 
 def test_oracle_bisection_matches_frozen_roots():
     assert beam_roots(8) == pytest.approx(np.array(CLAMPED_ROOTS), rel=1e-14)
+
+
+def test_galerkin_oracle_matches_clamped_beam():
+    one = np.ones_like
+    lam, traces = galerkin_clamped_spectrum(one, one, np.zeros_like, 1.0, 8)
+    mu = np.array(CLAMPED_ROOTS)
+    assert lam == pytest.approx(mu**4, rel=1e-12)
+    assert traces == pytest.approx(2 * mu**2, rel=1e-10)
+
+
+def test_galerkin_oracle_converges_in_basis_size():
+    # modes 1-10 only: mode 20 still moves by 3e-7 between 40 and 48 functions
+    lam, traces = _galerkin()
+    for size in (40, 56):
+        lam_k, traces_k = _galerkin(size)
+        assert lam_k == pytest.approx(lam, rel=1e-14)
+        assert traces_k == pytest.approx(traces, rel=1e-11)
+
+
+def test_variable_profile_spectrum_against_galerkin_oracle():
+    # measured maxima at 512 elements: 2.4e-8 (lambda_10), 9.5e-6 (t_10)
+    spec = {"length": 1.0, **{k: {"poly": c} for k, c in ORACLE_POLYS.items()}}
+    sd = solve_spectrum(assemble(build_profile(spec), 512), 12)
+    lam, traces = _galerkin()
+    assert sd.eigenvalues[:10] == pytest.approx(lam, rel=5e-8)
+    assert sd.traces[:10] == pytest.approx(traces, rel=2e-5)
 
 
 def test_constant_coefficient_wavenumbers_match_oracle(sd_const_512):
