@@ -32,11 +32,13 @@ from .control import (
 from .dynamics import (
     CoarseSamplingError,
     ExponentialSum,
+    GramSystem,
     ModalState,
     ResamplingError,
     evolve_controlled,
     evolve_free,
     filon_moment,
+    gram,
     modal_state,
     phase_integral,
     project_initial,
@@ -44,11 +46,9 @@ from .dynamics import (
 )
 from .observability import (
     DensityEstimate,
-    GramSystem,
     ObservabilityReport,
     beurling_density,
     boundary_output,
-    gram,
     observability_constants,
 )
 from .operator import DiscreteOperator, assemble, boundary_trace

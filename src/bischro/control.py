@@ -7,12 +7,13 @@ solving the Gram system.  The dual route factors instead the coercive
 operator Lambda = sigma(ell) D G D, D = diag(t), by Cholesky; in exact
 arithmetic it returns the moment route's weights, so the gap between the
 routes measures rounding only.  Both routes read the one cached Gram of
-the most recent (frequencies, horizon) from observability.gram, as does
+the most recent (frequencies, horizon) from dynamics.gram, as does
 ExponentialSum.norm, so a moment/HUM pair at one horizon forms and
-conditions one Gram.  The independent check is the forward solve: every
-control is verified by evolving the caller's state with the basis's own
-sigma(ell); the reported residual is never inferred from the linear
-algebra.
+conditions one Gram.  moments_for_null and the HUM route refuse a
+steered mode whose trace lies below spectrum.TRACE_FLOOR.  The
+independent check is the forward solve: every control is verified by
+evolving the caller's state with the basis's own sigma(ell); the
+reported residual is never inferred from the linear algebra.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import ExponentialSum, _check_problem, evolve_controlled, modal_state, sobolev_norm
-from .observability import gram
+from .dynamics import (ExponentialSum, _check_problem, evolve_controlled, gram, modal_state,
+                       sobolev_norm)
 from .spectrum import TRACE_FLOOR
 
 CONDITION_CAP = 1e12
@@ -64,12 +65,18 @@ def moments_for_null(state0, sd, sigma_l):
     spectrum.TRACE_FLOOR (which the boundary cannot steer) are refused.
     """
     _check_problem(state0, sd, sigma_l)
-    traces = sd.traces[: len(state0.coefficients)]
+    traces = _steerable_traces(sd, len(state0.coefficients))
+    return 1j * state0.coefficients / (sigma_l * traces)
+
+
+def _steerable_traces(sd, n):
+    """The first ``n`` traces, refused if any lies below spectrum.TRACE_FLOOR."""
+    traces = sd.traces[:n]
     weak = np.flatnonzero(np.abs(traces) < TRACE_FLOOR) + 1
     if len(weak):
         raise ValueError(f"modes {weak.tolist()} have boundary traces below "
                          f"{TRACE_FLOOR:g} and cannot be steered from the boundary")
-    return 1j * state0.coefficients / (sigma_l * traces)
+    return traces
 
 
 def _verified(sd, horizon, moments, beta, gs, method, state0, sigma_l):
@@ -112,9 +119,7 @@ def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP)
     the initial state the moments encode.
     """
     moments = np.asarray(moments, dtype=complex)
-    N = len(moments)
-    if N < 1 or N > sd.trusted_count:
-        raise ValueError(f"moment count must lie in [1, trusted_count={sd.trusted_count}]")
+    N = sd.mode_count(len(moments))
     lam = sd.eigenvalues[:N]
     gs = gram(lam, horizon)
     _refuse_ill_conditioned(gs, condition_cap)
@@ -135,15 +140,14 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     exp(i lambda_k t), the boundary output of the free solution with
     datum sum c_k phi_k; Lambda = sigma(ell) t_m t_n G[m, n] is the
     boundary-output energy form.  A sigma_l other than
-    ``sd.sigma_at_right_end()`` or a state of another basis is refused
-    before any Gram is formed; the control is verified by forward solve
-    of the original state, including any modes beyond the steered range.
+    ``sd.sigma_at_right_end()``, a state of another basis, and a steered
+    mode whose trace lies below spectrum.TRACE_FLOOR are refused before
+    any Gram is formed; the control is verified by forward solve of the
+    original state, including any modes beyond the steered range.
     """
     _check_problem(state0, sd, sigma_l)
-    N = int(n_modes)
-    if N < 1 or N > sd.trusted_count:
-        raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
-    traces = sd.traces[:N]
+    N = sd.mode_count(n_modes)
+    traces = _steerable_traces(sd, N)
     gs = gram(sd.eigenvalues[:N], horizon)
     _refuse_ill_conditioned(gs, condition_cap)
     m = len(state0.coefficients)

@@ -12,6 +12,9 @@ with t_n the right-end curvature trace of mode n.  The oscillatory
 moment integral is closed-form when f is a finite exponential sum and
 Filon-Simpson quadrature (exact phase factor, piecewise-quadratic
 amplitude) when f arrives as a dense tabulation.
+
+The one cached exponential Gram (:func:`gram`) lives here too; the
+observability and control solves and ExponentialSum.norm all read it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from ._blas import serial_blas
 from .operator import band_matvec
@@ -164,14 +168,14 @@ class ExponentialSum:
         return len(self.frequencies)
 
     def norm(self, horizon):
-        """L^2(0, horizon) norm sqrt(w^H G w) with the cached exponential Gram G."""
+        """L^2(0, horizon) norm sqrt(w^H G w) with the cached Gram G; repeats allowed."""
         T = _positive_horizon(horizon)
         if len(self) == 0:
             return 0.0
-        G = _phase_gram(self.frequencies.tobytes(), T)
+        G = _gram(self.frequencies.tobytes(), T).matrix
         # G.conj().T holds G's values in Fortran order, the order the
         # norm has always multiplied in, so its bits do not depend on
-        # whether the Gram was formed here or by observability.gram
+        # whether the Gram was formed here or by a solve
         return float(np.sqrt(abs(np.real(np.vdot(self.weights, G.conj().T @ self.weights)))))
 
 
@@ -183,23 +187,56 @@ def _positive_horizon(horizon):
     return T
 
 
-@functools.lru_cache(maxsize=1)
-def _phase_gram(key, T):
-    """Read-only Hermitian Gram of exp(i lam t) on (0, T), lam = frombuffer(key).
+@dataclass(frozen=True)
+class GramSystem:
+    """Read-only Hermitian G[m, n] = integral_0^T exp(i (lambda_n - lambda_m) t) dt
+    and its 2-norm condition; callers form any trace weighting themselves."""
 
-    G[m, n] = integral_0^T exp(i (lam_n - lam_m) t) dt; the diagonal is
-    exactly T.  One entry serves the real traffic, consecutive calls at
-    one (lambda, T): a moment/HUM pair, their norms and agreement norm,
-    an observability cell.  Frequencies are not checked for duplicates;
-    observability.gram refuses those before asking for a solve.
+    matrix: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    @serial_blas
+    def condition_estimate(self):
+        # run on the first read only: a norm never pays for it
+        w = sla.eigvalsh(self.matrix)
+        return float(w[-1] / w[0]) if w[0] > 0 else np.inf
+
+
+def gram(lambdas, horizon):
+    """Exponential Gram system of ``lambdas`` on (0, horizon), closed-form entries.
+
+    Off-diagonals are (exp(i dT) - 1)/(i d); the diagonal is exactly the
+    horizon.  Duplicate frequencies, which make the family degenerate,
+    and horizons that are not positive and finite are refused.  The most
+    recent (lambdas, horizon), keyed by the exact bytes, is remembered
+    with its condition, and ExponentialSum.norm reads the same entry.
     """
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim != 1 or len(lam) == 0:
+        raise ValueError("lambdas must be a nonempty 1-d sequence")
+    T = _positive_horizon(horizon)
+    if len(lam) > 1:
+        order = np.argsort(lam, kind="stable")
+        gaps = np.diff(lam[order])
+        k = int(np.argmin(gaps))
+        if gaps[k] <= 1e-12 * max(lam[order[-1]] - lam[order[0]], 1.0):
+            i, j = sorted((int(order[k]), int(order[k + 1])))
+            raise ValueError(f"duplicate frequencies at indices {i} and {j}")
+    return _gram(lam.tobytes(), T)
+
+
+@functools.lru_cache(maxsize=1)
+def _gram(key, T):
+    """Unchecked GramSystem of frombuffer(key) on (0, T).  One entry serves
+    consecutive calls at one (lambda, T): a moment/HUM pair, their norms,
+    an observability cell."""
     lam = np.frombuffer(key)
     delta = np.subtract.outer(lam, lam)      # delta[m, n] = lam_m - lam_n
     G = np.asarray(phase_integral(-delta, T))
     np.fill_diagonal(G, T)
     G = 0.5 * (G + G.conj().T)               # Hermitian to the last bit
     G.flags.writeable = False
-    return G
+    return GramSystem(matrix=G)
 
 
 def phase_integral(omega, horizon):

@@ -7,10 +7,9 @@ finitely many exponentials with distinct frequencies form a Riesz
 sequence in L^2(0, T), the trace-weighted Gram matrix is positive
 definite, and its extreme eigenvalues against the clamped-H^2 weights
 give computable two-sided observability constants at truncation level.
-The Gram itself is built and cached in one place, dynamics._phase_gram,
-which ExponentialSum.norm reads too; gram adds the duplicate-frequency
-check and the condition estimate, and the trace weighting is formed
-where it is used.
+The Gram itself, with its condition, is built and cached in one place,
+dynamics.gram, which the control solves and ExponentialSum.norm read
+too; the trace weighting is formed where it is used.
 
 Also hosts the Beurling upper-density window estimator; for this
 operator the eigenvalue gaps grow cubically, so the estimate decays
@@ -19,63 +18,14 @@ toward zero with the window length.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import ExponentialSum, _phase_gram, _positive_horizon
+from .dynamics import ExponentialSum, gram
 from .reports import ReportTable
-
-
-@dataclass(frozen=True)
-class GramSystem:
-    """Hermitian matrix G[m, n] = integral_0^T exp(i (lambda_n - lambda_m) t) dt
-    and its 2-norm condition; callers form any trace weighting themselves."""
-
-    matrix: np.ndarray = field(repr=False)
-    condition_estimate: float
-
-
-@serial_blas
-def gram(lambdas, horizon):
-    """Exponential Gram matrix on (0, horizon), closed-form entries.
-
-    Off-diagonals are (exp(i dT) - 1)/(i d); the diagonal is exactly the
-    horizon.  Duplicate frequencies are rejected, they would make the
-    family degenerate, and so are horizons that are not positive and
-    finite.
-
-    The matrix is the one dynamics caches for ExponentialSum.norm, and
-    the most recent (lambdas, horizon), compared by the exact bytes of
-    the frequencies and the float horizon, is remembered with its
-    condition: a repeated call returns the same read-only matrix and
-    condition estimate without forming or eigen-decomposing it again.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or len(lam) == 0:
-        raise ValueError("lambdas must be a nonempty 1-d sequence")
-    return _gram(lam.tobytes(), _positive_horizon(horizon))
-
-
-@functools.lru_cache(maxsize=1)
-def _gram(key, T):
-    """GramSystem of the frequencies frombuffer(key) on (0, T)."""
-    lam = np.frombuffer(key)
-    if len(lam) > 1:
-        span = max(lam.max() - lam.min(), 1.0)
-        diff = np.abs(np.subtract.outer(lam, lam))
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() <= 1e-12 * span:
-            i, j = np.unravel_index(np.argmin(diff), diff.shape)
-            raise ValueError(f"duplicate frequencies at indices {i} and {j}")
-
-    G = _phase_gram(key, T)
-    w = sla.eigvalsh(G)
-    cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
-    return GramSystem(matrix=G, condition_estimate=cond)
 
 
 def boundary_output(state, t):
@@ -111,9 +61,7 @@ def observability_constants(sd, horizon, n_modes):
     resolution failure of the Gram eigensolve, not as a violation of the
     inequality.
     """
-    N = int(n_modes)
-    if N < 1 or N > sd.trusted_count:
-        raise ValueError(f"n_modes must lie in [1, trusted_count={sd.trusted_count}]")
+    N = sd.mode_count(n_modes)
     lam = sd.eigenvalues[:N]
     tr = sd.traces[:N]
     gs = gram(lam, horizon)

@@ -6,6 +6,8 @@ polished with two shifted inverse-iteration steps on the banded pencil
 and its eigenvalue replaced by the Rayleigh quotient.  The polish matters:
 the raw dense solve carries an eps * lambda_max backward error that
 pollutes the low eigenvalues well above the element discretization error.
+A polish sweep or lambda_max power iteration that breaks down raises
+NumericalError rather than pass on an unpolished pair.
 
 Eigenvectors are M-orthonormal with signs fixed so the right-end
 curvature trace of every mode is positive (the traces never vanish for
@@ -63,6 +65,12 @@ class SpectralData:
     def count(self):
         return len(self.eigenvalues)
 
+    def mode_count(self, n):
+        """``n`` as an int, refused unless 1 <= n <= trusted_count."""
+        if not 1 <= int(n) <= self.trusted_count:
+            raise ValueError(f"mode count {n} must lie in [1, trusted_count={self.trusted_count}]")
+        return int(n)
+
     def sigma_at_right_end(self):
         return self._sigma_at_right_end
 
@@ -85,7 +93,7 @@ def _band_to_lu_form(band):
     return ab
 
 
-def _polish_pair(kb, mb, lam, vec, sweeps=2):
+def _polish_pair(kb, mb, lam, vec, mode, sweeps=2):
     """Shifted inverse iteration plus Rayleigh quotient on the banded pencil."""
     k = kb.shape[0] - 1
     for _ in range(sweeps):
@@ -93,14 +101,12 @@ def _polish_pair(kb, mb, lam, vec, sweeps=2):
         rhs = band_matvec(mb, vec)
         try:
             z = sla.solve_banded((k, k), ab, rhs)
-        except (sla.LinAlgError, ValueError):
-            break
-        if not np.all(np.isfinite(z)):
-            break
+        except (sla.LinAlgError, ValueError) as exc:
+            raise NumericalError(f"mode {mode} polish: shifted solve failed ({exc})") from exc
         mz = band_matvec(mb, z)
-        nrm = np.sqrt(z @ mz)
+        nrm = np.sqrt(z @ mz)   # NaN or inf for a non-finite iterate
         if not np.isfinite(nrm) or nrm == 0.0:
-            break
+            raise NumericalError(f"mode {mode} polish: shifted-solve iterate has M-norm {nrm}")
         vec = z / nrm
         lam = vec @ band_matvec(kb, vec)
     return lam, vec
@@ -120,8 +126,8 @@ def _estimate_lambda_max(kb, mb, cb, iterations=50):
         y = band_matvec(kb, x)
         x = sla.cho_solve_banded((cb, True), y)
         nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            break
+        if not np.isfinite(nrm) or nrm == 0.0:
+            raise NumericalError(f"lambda_max power iteration: iterate has norm {nrm}")
         x /= nrm
         lam = x @ band_matvec(kb, x) / (x @ band_matvec(mb, x))
     return lam
@@ -158,7 +164,7 @@ def solve_spectrum(op, count):
     lams = np.empty(count)
     vecs = np.empty_like(v)
     for i in range(count):
-        lam, vec = _polish_pair(kb, mb, w[i], v[:, i])
+        lam, vec = _polish_pair(kb, mb, w[i], v[:, i], i + 1)
         lams[i] = lam
         vecs[:, i] = vec
     order = np.argsort(lams, kind="stable")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import bischro.dynamics
-import bischro.observability
 from bischro import assemble, build_profile, constant_profile, geometry, solve_spectrum
 
 VAR_PROFILE_SPEC = {
@@ -78,8 +77,5 @@ def rng():
 
 @pytest.fixture()
 def cold_gram_cache():
-    """Empty both exponential-Gram caches: the Gram and its condition."""
-    def clear():
-        bischro.observability._gram.cache_clear()
-        bischro.dynamics._phase_gram.cache_clear()
-    return clear
+    """Empty the exponential-Gram cache: the Gram and its condition."""
+    return bischro.dynamics._gram.cache_clear

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bischro.spectrum
 from bischro import ConfigError, assemble, build_profile, parse_config
 from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
 
@@ -263,6 +264,16 @@ def test_cli_observability_positivity_loss_exits_numerical(tmp_path, capsys):
     out = tmp_path / "obs"
     assert main(["observability", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
     assert "Gram eigensolve lost positivity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_polish_breakdown_exits_numerical(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bischro.spectrum.sla, "solve_banded",
+                        lambda l_and_u, ab, b, *args, **kwargs: np.full_like(b, np.nan))
+    cfg = _write(tmp_path, MINIMAL)
+    out = tmp_path / "polish"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "mode 1 polish" in capsys.readouterr().err
     assert not out.exists()
 
 

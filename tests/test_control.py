@@ -5,7 +5,6 @@ import pytest
 
 import bischro.control
 import bischro.dynamics
-import bischro.observability
 from bischro import (
     ConditioningError,
     ExponentialSum,
@@ -46,6 +45,24 @@ def test_vanishing_trace_refused(sd_const_128):
     state = modal_state(doctored, np.ones(4))
     with pytest.raises(ValueError, match=r"modes \[2\] have boundary traces below"):
         moments_for_null(state, doctored, 1.0)
+    with pytest.raises(ValueError, match=r"modes \[2\] have boundary traces below"):
+        synthesize_hum_control(state, doctored, 0.5, 4, 1.0)
+
+
+def test_mode_count_outside_trusted_range_refused(sd_const_128):
+    sd = sd_const_128
+    state = modal_state(sd, np.ones(4))
+    sigma_l = sd.sigma_at_right_end()
+    for N in (0, sd.trusted_count + 1):
+        calls = (
+            lambda: synthesize_moment_control(np.ones(N), sd, 0.5),
+            lambda: synthesize_hum_control(state, sd, 0.5, N, sigma_l),
+            lambda: observability_constants(sd, 0.5, N),
+        )
+        message = rf"^mode count {N} must lie in \[1, trusted_count={sd.trusted_count}\]$"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_single_mode_moment_control_annihilates(sd_const_128):
@@ -243,7 +260,7 @@ def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_ca
     N, T = 12, 0.37
     calls = []
     phases = []
-    eigvalsh = bischro.observability.sla.eigvalsh
+    eigvalsh = bischro.dynamics.sla.eigvalsh
     phase = bischro.dynamics.phase_integral
 
     def counted(a, *args, **kwargs):
@@ -255,8 +272,11 @@ def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_ca
         return phase(omega, horizon)
 
     cold_gram_cache()
-    monkeypatch.setattr(bischro.observability.sla, "eigvalsh", counted)
+    monkeypatch.setattr(bischro.dynamics.sla, "eigvalsh", counted)
     monkeypatch.setattr(bischro.dynamics, "phase_integral", counted_phase)
+    # a cold norm forms the Gram but never reads its condition
+    assert ExponentialSum(sd.eigenvalues[:N], np.ones(N)).norm(T) > 0
+    assert calls == []
     state = modal_state(sd, np.eye(N)[0] + np.eye(N)[1])
     sigma_l = sd.sigma_at_right_end()
     mom = synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
@@ -265,8 +285,8 @@ def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_ca
     observability_constants(sd, T, N)
     # the Gram once, and the weight-normalized matrix of the constants
     assert calls == [(N, N), (N, N)]
-    # the Gram once (both norms and the agreement norm read it), and one
-    # independent forward verification per control
+    # the Gram once (every norm reads it), and one independent forward
+    # verification per control
     assert phases == [(N, N), (N, N), (N, N)]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bischro import (
+    ExponentialSum,
     beurling_density,
     boundary_output,
     characteristic_roots,
@@ -64,8 +65,12 @@ def test_gram_energy_identity_against_quadrature(rng):
 
 
 def test_gram_rejects_duplicate_frequencies():
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate frequencies at indices 1 and 2"):
         gram([1.0, 2.0, 2.0], 1.0)
+    # unsorted, with the Gram already cached by a norm, which accepts repeats
+    assert ExponentialSum([2.0, 1.0, 2.0], [1.0, 1.0, 1.0]).norm(1.0) > 0
+    with pytest.raises(ValueError, match="duplicate frequencies at indices 0 and 2"):
+        gram([2.0, 1.0, 2.0], 1.0)
 
 
 def test_gram_repeated_call_returns_stored_matrix(sd_const_512):

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from bischro import assemble, build_profile, constant_profile, solve_spectrum, validate_spectrum
+import bischro.spectrum
+from bischro import (NumericalError, assemble, build_profile, constant_profile, solve_spectrum,
+                     validate_spectrum)
 from bischro.operator import band_matvec
 
 from .oracles import CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum
@@ -206,3 +209,22 @@ def test_eigensolve_makes_no_private_dense_copies(const_profile):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * op.n_dof**2 * 8
+
+
+@pytest.mark.parametrize("failure", ["nan", "singular"])
+def test_polish_breakdown_raises_naming_the_mode(monkeypatch, failure):
+    def broken(l_and_u, ab, b, *args, **kwargs):
+        if failure == "singular":
+            raise sla.LinAlgError("singular matrix")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(bischro.spectrum.sla, "solve_banded", broken)
+    with pytest.raises(NumericalError, match="mode 1 polish"):
+        solve_spectrum(assemble(constant_profile(), 32), 4)
+
+
+def test_lambda_max_breakdown_raises(monkeypatch):
+    monkeypatch.setattr(bischro.spectrum.sla, "cho_solve_banded",
+                        lambda cb, b, *args, **kwargs: np.zeros_like(b))
+    with pytest.raises(NumericalError, match="lambda_max power iteration"):
+        solve_spectrum(assemble(constant_profile(), 32), 4)
