@@ -37,7 +37,6 @@ from .dynamics import (
     ResamplingError,
     evolve_controlled,
     evolve_free,
-    filon_moment,
     gram,
     modal_state,
     phase_integral,

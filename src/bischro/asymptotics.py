@@ -11,9 +11,8 @@ pi / gamma, so consecutive spacings approach pi / gamma and consecutive
 eigenvalue gaps grow cubically.  This module computes the roots by
 Brent's method on sign-change brackets and compares a computed
 spectrum against the three laws (spacing, cubic gap, boundary-trace
-magnitude).  Each comparison takes the geometry of the profile the
-spectrum was solved on, or a plain optical length; a geometry of another
-profile is refused.
+magnitude).  Each comparison takes the spectrum only and reads gamma and
+the trace limit from the geometry of the profile it was solved on.
 
 The root residual is reported in the cosh-normalized form
 |cos(x)cosh(x) - 1| / cosh(x) = |cos(x) - sech(x)|: the raw combination
@@ -28,29 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .coefficients import WaveGeometry
+from .coefficients import WaveGeometry, geometry
 from .reports import ReportTable
 
 ROOT_RESIDUAL_TOL = 1e-10
-
-
-def _gamma_of(geometry):
-    if isinstance(geometry, WaveGeometry):
-        return geometry.optical_length
-    g = float(geometry)
-    if g <= 0:
-        raise ValueError("optical length must be positive")
-    return g
-
-
-def _of_profile(sd, geometry):
-    """``geometry`` unchanged; a WaveGeometry of another profile than sd's is refused.
-
-    A float optical length carries no profile and is taken as given.
-    """
-    if isinstance(geometry, WaveGeometry) and geometry.profile is not sd.op.profile:
-        raise ValueError("geometry and spectral data refer to different profiles")
-    return geometry
 
 
 def _char_scaled(x):
@@ -58,8 +38,9 @@ def _char_scaled(x):
     return np.cos(x) - 1.0 / np.cosh(x)
 
 
-def characteristic_roots(geometry, count):
-    """First ``count`` positive roots of cos(mu*gamma)cosh(mu*gamma) = 1.
+def characteristic_roots(geo, count):
+    """First ``count`` positive roots of cos(mu*gamma)cosh(mu*gamma) = 1,
+    gamma the optical length of the WaveGeometry ``geo``.
 
     The k-th root lies within 0.5 of (k + 1/2) pi / gamma and the scaled
     characteristic function changes sign across that bracket, so plain
@@ -67,7 +48,7 @@ def characteristic_roots(geometry, count):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    gamma = _gamma_of(geometry)
+    gamma = geo.optical_length
     roots = np.empty(count)
     for k in range(1, count + 1):
         z = (k + 0.5) * np.pi
@@ -94,31 +75,31 @@ class AsymptoticModel:
     residuals: np.ndarray
 
 
-def asymptotic_model(geometry, count):
-    mu = characteristic_roots(geometry, count)
-    res = np.abs(_char_scaled(mu * _gamma_of(geometry)))
-    return AsymptoticModel(geometry=geometry, mu_tilde=mu, residuals=res)
+def asymptotic_model(geo, count):
+    mu = characteristic_roots(geo, count)
+    res = np.abs(_char_scaled(mu * geo.optical_length))
+    return AsymptoticModel(geometry=geo, mu_tilde=mu, residuals=res)
 
 
-def index_offset(sd, geometry):
+def index_offset(sd):
     """Best-fit integer shift between mode index and half-integer mu index.
 
     The computed wavenumbers satisfy mu_n ~ (n + offset - 1/2) pi / gamma;
     the offset is reported instead of trusting any fixed enumeration
     convention, since only spacings enter the laws downstream.
     """
-    gamma = _gamma_of(_of_profile(sd, geometry))
-    n = np.arange(1, min(sd.trusted_count, sd.count) + 1)
+    gamma = geometry(sd.op.profile).optical_length
+    n = np.arange(1, sd.trusted_count + 1)
     est = sd.wavenumbers[: len(n)] * gamma / np.pi + 0.5 - n
     return int(np.round(np.median(est)))
 
 
-def spacing_report(sd, geometry):
+def spacing_report(sd):
     """Rows (n, mu_{n+1} - mu_n, spacing * gamma / pi); last column -> 1."""
     if sd.trusted_count < 3:
         raise ValueError("spacing report needs trusted_count >= 3")
-    gamma = _gamma_of(_of_profile(sd, geometry))
-    m = min(sd.trusted_count, sd.count)
+    gamma = geometry(sd.op.profile).optical_length
+    m = sd.trusted_count
     mu = sd.wavenumbers[:m]
     rows = []
     for n in range(m - 1):
@@ -127,7 +108,7 @@ def spacing_report(sd, geometry):
     return ReportTable("spacing", ("n", "delta_mu", "spacing_ratio"), rows)
 
 
-def gap_report(sd, geometry):
+def gap_report(sd):
     """Rows (n, lambda_{n+1} - lambda_n, gap / cubic-law prediction).
 
     The prediction differences the fourth powers of the half-integer law
@@ -138,8 +119,8 @@ def gap_report(sd, geometry):
     """
     if sd.trusted_count < 5:
         raise ValueError("gap report needs trusted_count >= 5")
-    gamma = _gamma_of(_of_profile(sd, geometry))
-    m = min(sd.trusted_count, sd.count)
+    gamma = geometry(sd.op.profile).optical_length
+    m = sd.trusted_count
     lam = sd.eigenvalues[:m]
     mu = sd.wavenumbers[:m]
     const = (np.pi / gamma) ** 4
@@ -213,14 +194,13 @@ def trace_limit(geo):
     )
 
 
-def trace_limit_report(sd, geo):
-    """Rows (n, |t_n| / sqrt(lambda_n), ratio to the limit for sd's profile geometry geo)."""
+def trace_limit_report(sd):
+    """Rows (n, |t_n| / sqrt(lambda_n), ratio to the trace limit of sd's profile)."""
     if sd.trusted_count < 5:
         raise ValueError("trace report needs trusted_count >= 5")
-    limit = trace_limit(_of_profile(sd, geo))
-    m = min(sd.trusted_count, sd.count)
+    limit = trace_limit(geometry(sd.op.profile))
     rows = []
-    for n in range(m):
+    for n in range(sd.trusted_count):
         val = abs(sd.traces[n]) / np.sqrt(sd.eigenvalues[n])
         rows.append((n + 1, float(val), float(val / limit)))
     return ReportTable("trace", ("n", "trace_over_sqrt_lambda", "limit_ratio"), rows)

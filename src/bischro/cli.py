@@ -29,7 +29,6 @@ import errno
 import json
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -84,13 +83,11 @@ class RunReport:
     schema: str
     records: list = field(default_factory=list)
     files: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
 
     def lines(self):
         out = [f"kind: {self.kind}", f"schema: {self.schema}"]
         out += [f"record: {rec}" for rec in self.records]
         out += [f"wrote: {f}" for f in self.files]
-        out += [f"timing: {name} {secs:.3f}s" for name, secs in self.timings.items()]
         return out
 
 
@@ -134,18 +131,17 @@ def _run_spectrum(config, sd, report):
 
 
 def _run_asymptotics(config, sd, report):
-    geo = geometry(sd.op.profile)
     files = {
         fname: _csv(table.name, table.columns, table.rows)
         for table, fname in (
-            (spacing_report(sd, geo), "spacing.csv"),
-            (gap_report(sd, geo), "gap.csv"),
-            (trace_limit_report(sd, geo), "trace.csv"),
+            (spacing_report(sd), "spacing.csv"),
+            (gap_report(sd), "gap.csv"),
+            (trace_limit_report(sd), "trace.csv"),
         )
     }
-    report.records.append({"optical_length": geo.optical_length,
+    report.records.append({"optical_length": geometry(sd.op.profile).optical_length,
                            "trusted": sd.trusted_count,
-                           "index_offset": index_offset(sd, geo)})
+                           "index_offset": index_offset(sd)})
     return files
 
 
@@ -169,12 +165,10 @@ def _run_control(config, sd, report):
     T = config.horizons[0]
     state0 = _initial_state(config, sd)
     sigma_l = sd.sigma_at_right_end()
-    t0 = time.perf_counter()
     moments = moments_for_null(state0, sd, sigma_l)
     sol = synthesize_moment_control(moments, sd, T, condition_cap=config.condition_cap)
     hum = synthesize_hum_control(state0, sd, T, len(moments), sigma_l,
                                  condition_cap=config.condition_cap)
-    report.timings["synthesis"] = time.perf_counter() - t0
     diff = sol.waveform().weights - hum.waveform().weights
     dn = ExponentialSum(sol.frequencies, diff).norm(T)
     agreement = dn / sol.control_norm if sol.control_norm > 0 else 0.0
@@ -234,12 +228,8 @@ def run(config):
     created, then re-raises the OSError.
     """
     report = RunReport(kind=config.kind, schema=SCHEMA_VERSION)
-    t0 = time.perf_counter()
     op = assemble(build_profile(config.profile_spec), config.elements)
-    report.timings["assemble"] = time.perf_counter() - t0
-    t1 = time.perf_counter()
     sd = solve_spectrum(op, config.modes)
-    report.timings["eigensolve"] = time.perf_counter() - t1
     files = _RUNNERS[config.kind](config, sd, report)
 
     outdir = Path(config.output)
@@ -261,7 +251,6 @@ def run(config):
                 d.rmdir()
         raise
     report.files = [str(p) for p in targets]
-    report.timings["total"] = time.perf_counter() - t0
     return report
 
 

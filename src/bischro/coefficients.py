@@ -15,9 +15,11 @@ high-frequency behaviour of the spectrum:
     phase(x)       = the same integral truncated at x
     amplitude(x)   = ( rho(x)^(3/4) sigma(x)^(1/4) )^(-1/2)
 
-Both integrals use a composite Gauss-Legendre rule of fixed order
-DEFAULT_ORDER, so identical inputs give bit-identical geometry; orders 4
-to 8 all give the optical length to rounding, order 2 loses up to 1.2e-11.
+Both integrals use one fixed rule, composite Gauss-Legendre of order
+DEFAULT_ORDER on DEFAULT_CELLS equal cells, so identical inputs give
+bit-identical geometry.  Orders 4 to 8 all give the optical length to
+rounding (order 2 loses up to 1.2e-11), so the rule carries no error
+estimate and takes no cell count.
 """
 
 from __future__ import annotations
@@ -179,14 +181,11 @@ class WaveGeometry:
 
     ``optical_length`` is the full integral of (rho/sigma)^(1/4);
     ``phase`` maps [0, ell] monotonically onto [0, optical_length];
-    ``amplitude`` is the leading-order mode envelope.  ``error_estimate``
-    comes from doubling the quadrature order on the same mesh.
+    ``amplitude`` is the leading-order mode envelope.
     """
 
     profile: CoefficientProfile
-    cells: int
     optical_length: float
-    error_estimate: float
     _edges: np.ndarray = field(repr=False)
     _cumulative: np.ndarray = field(repr=False)
 
@@ -205,7 +204,7 @@ class WaveGeometry:
         if np.any((xv < -1e-12) | (xv > self.profile.length * (1 + 1e-12))):
             raise ValueError("phase argument outside [0, length]")
         h = self._edges[1] - self._edges[0]
-        idx = np.clip((xv / h).astype(int), 0, self.cells - 1)
+        idx = np.clip((xv / h).astype(int), 0, DEFAULT_CELLS - 1)
         left = self._edges[idx]
         gx, gw = _gauss_rule(DEFAULT_ORDER)
         span = xv - left
@@ -216,31 +215,20 @@ class WaveGeometry:
         return float(out[0]) if scalar else out
 
 
-def geometry(profile, *, cells=DEFAULT_CELLS):
-    """Tabulate the wave geometry of a profile with composite Gauss quadrature."""
-    if cells < 1:
-        raise ValueError(f"cells must be >= 1, got {cells}")
-    edges = np.linspace(0.0, profile.length, cells + 1)
+def geometry(profile):
+    """Tabulate the wave geometry of a profile: composite Gauss quadrature
+    of the fixed order DEFAULT_ORDER on DEFAULT_CELLS equal cells."""
+    edges = np.linspace(0.0, profile.length, DEFAULT_CELLS + 1)
     h = edges[1] - edges[0]
-
-    def cell_integrals(order):
-        gx, gw = _gauss_rule(order)
-        pts = edges[:-1, None] + gx[None, :] * h
-        return h * (_quarter_power(profile, pts) @ gw), pts
-
-    base, nodes = cell_integrals(DEFAULT_ORDER)
-    refined, _ = cell_integrals(2 * DEFAULT_ORDER)
-    total = float(np.sum(base))
-    estimate = float(np.abs(np.sum(refined) - np.sum(base)))
-    cumulative = np.concatenate([[0.0], np.cumsum(base)])
+    gx, gw = _gauss_rule(DEFAULT_ORDER)
+    nodes = edges[:-1, None] + gx[None, :] * h
+    cell_integrals = h * (_quarter_power(profile, nodes) @ gw)
 
     geo = WaveGeometry(
         profile=profile,
-        cells=cells,
-        optical_length=total,
-        error_estimate=estimate,
+        optical_length=float(np.sum(cell_integrals)),
         _edges=edges,
-        _cumulative=cumulative,
+        _cumulative=np.concatenate([[0.0], np.cumsum(cell_integrals)]),
     )
     amp = geo.amplitude(nodes)
     if np.any(amp <= 0) or not np.all(np.isfinite(amp)):

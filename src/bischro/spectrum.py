@@ -249,7 +249,7 @@ def validate_spectrum(sd):
     """
     if sd.count == 0:
         raise ValueError("empty spectrum")
-    n = min(sd.trusted_count, sd.count)
+    n = sd.trusted_count
     lam = sd.eigenvalues
     _, mb = sd.op.constrained_bands()
     mv = np.column_stack([band_matvec(mb, sd.modes[:, j]) for j in range(sd.count)])

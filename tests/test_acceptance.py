@@ -57,14 +57,10 @@ def test_criterion_1_clamped_beam_oracle_equivalence(const_profile):
         assert elapsed <= 30.0, f"runtime {elapsed:.1f}s exceeds 30s"
 
 
-def test_criterion_2_spacing_law(sd_const_2048, const_geometry,
-                                 sd_var_2048, var_geometry):
+def test_criterion_2_spacing_law(sd_const_2048, sd_var_2048):
     with criterion(2, "mu-spacing law on both profiles, n = 15..24"):
-        for sd, geo, band in (
-            (sd_const_2048, const_geometry, 1e-3),
-            (sd_var_2048, var_geometry, 1e-2),
-        ):
-            table = spacing_report(sd, geo)
+        for sd, band in ((sd_const_2048, 1e-3), (sd_var_2048, 1e-2)):
+            table = spacing_report(sd)
             n = table.column("n")
             ratio = table.column("spacing_ratio")
             window = ratio[(n >= 15) & (n <= 24)]
@@ -73,12 +69,10 @@ def test_criterion_2_spacing_law(sd_const_2048, const_geometry,
             assert dev <= band, f"spacing ratio deviates {dev:.2e} > {band}"
 
 
-def test_criterion_3_cubic_gap_law(sd_const_2048, const_geometry,
-                                   sd_var_2048, var_geometry):
+def test_criterion_3_cubic_gap_law(sd_const_2048, sd_var_2048):
     with criterion(3, "cubic gap law [0.9, 1.1] at n = 15..24 plus bounded ratios"):
-        for sd, geo in ((sd_const_2048, const_geometry),
-                        (sd_var_2048, var_geometry)):
-            table = gap_report(sd, geo)
+        for sd in (sd_const_2048, sd_var_2048):
+            table = gap_report(sd)
             n = table.column("n")
             normed = table.column("normalized_gap")
             window = normed[(n >= 15) & (n <= 24)]

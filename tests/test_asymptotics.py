@@ -48,9 +48,9 @@ def test_second_spacing_near_pi(const_geometry):
     assert abs((r[1] - r[0]) / np.pi - 1) > 0.005
 
 
-def test_roots_scale_inversely_with_optical_length():
-    r1 = characteristic_roots(1.0, 12)
-    r2 = characteristic_roots(2.0, 12)
+def test_roots_scale_inversely_with_optical_length(const_geometry):
+    r1 = characteristic_roots(const_geometry, 12)
+    r2 = characteristic_roots(geometry(constant_profile(length=2.0)), 12)
     assert r2 == pytest.approx(r1 / 2.0, rel=1e-13)
 
 
@@ -63,17 +63,17 @@ def test_root_residuals_below_gate():
     assert model.mu_tilde[-1] == pytest.approx((k[-1] + 0.5) * np.pi, rel=1e-9)
 
 
-def test_raw_residual_is_uncomputable_for_large_roots():
+def test_raw_residual_is_uncomputable_for_large_roots(const_geometry):
     # the cosh-amplified raw form |cos cosh - 1| blows up on the rounded
     # roots; this is why the module reports the scaled residual
-    x = characteristic_roots(1.0, 20)[-1]
+    x = characteristic_roots(const_geometry, 20)[-1] * const_geometry.optical_length
     raw = abs(np.cos(x) * np.cosh(x) - 1.0)
     assert raw > 1e3
     assert abs(_char_scaled(x)) < 1e-13
 
 
-def test_spacing_report_constant(sd_const_512, const_geometry):
-    table = spacing_report(sd_const_512, const_geometry)
+def test_spacing_report_constant(sd_const_512):
+    table = spacing_report(sd_const_512)
     ratio = table.column("spacing_ratio")
     assert len(table) == sd_const_512.trusted_count - 1
     # compare against the oracle-root spacings at matching indices
@@ -89,19 +89,17 @@ def test_spacing_doubles_when_density_drops(const_profile):
     light = constant_profile(rho=1.0 / 16.0)
     sd_a = solve_spectrum(assemble(const_profile, 96), 8)
     sd_b = solve_spectrum(assemble(light, 96), 8)
-    geo_a = geometry(const_profile)
-    geo_b = geometry(light)
-    sp_a = spacing_report(sd_a, geo_a).column("delta_mu")
-    sp_b = spacing_report(sd_b, geo_b).column("delta_mu")
+    sp_a = spacing_report(sd_a).column("delta_mu")
+    sp_b = spacing_report(sd_b).column("delta_mu")
     assert sp_b == pytest.approx(2.0 * sp_a, rel=1e-9)
     # and the dimensionless ratio column is unchanged
-    ra = spacing_report(sd_a, geo_a).column("spacing_ratio")
-    rb = spacing_report(sd_b, geo_b).column("spacing_ratio")
+    ra = spacing_report(sd_a).column("spacing_ratio")
+    rb = spacing_report(sd_b).column("spacing_ratio")
     assert rb == pytest.approx(ra, rel=1e-9)
 
 
-def test_variable_profile_spacing_settles(sd_var_2048, var_geometry):
-    table = spacing_report(sd_var_2048, var_geometry)
+def test_variable_profile_spacing_settles(sd_var_2048):
+    table = spacing_report(sd_var_2048)
     ratio = table.column("spacing_ratio")
     assert np.all(np.abs(ratio[14:24] - 1) < 0.01)
 
@@ -112,7 +110,7 @@ def test_gap_report_oracle_roots(sd_const_128, const_geometry):
     # 0.2 percent at n = 20
     mus = characteristic_roots(const_geometry, 30)
     sd = synthetic_spectrum(sd_const_128, mus)
-    table = gap_report(sd, const_geometry)
+    table = gap_report(sd)
     normed = table.column("normalized_gap")
     n = table.column("n")
     assert abs(normed[n == 20][0] - 1) < 0.002
@@ -122,15 +120,15 @@ def test_gap_report_oracle_roots(sd_const_128, const_geometry):
     assert np.all(table.column("delta_lambda") > 0)
 
 
-def test_gap_positivity_computed(sd_const_512, const_geometry):
-    table = gap_report(sd_const_512, const_geometry)
+def test_gap_positivity_computed(sd_const_512):
+    table = gap_report(sd_const_512)
     assert np.all(table.column("delta_lambda") > 0)
 
 
-def test_index_offset_is_one(sd_const_512, const_geometry):
+def test_index_offset_is_one(sd_const_512):
     # first computed root sits near 1.5 pi/gamma: one step above the
     # half-integer enumeration that starts the cosine zeros
-    assert index_offset(sd_const_512, const_geometry) == 1
+    assert index_offset(sd_const_512) == 1
 
 
 def test_eigenfunction_asymptote_boundary_zeros(const_geometry):
@@ -176,7 +174,7 @@ def test_asymptote_no_overflow_at_high_index(const_geometry):
 
 def test_trace_limit_constant_profile(sd_const_512, const_geometry):
     assert trace_limit(const_geometry) == pytest.approx(2.0, rel=1e-12)
-    table = trace_limit_report(sd_const_512, const_geometry)
+    table = trace_limit_report(sd_const_512)
     ratio = table.column("limit_ratio")
     assert np.all(np.abs(ratio[9:14] - 1) < 0.04)
 
@@ -193,31 +191,17 @@ def test_trace_ratio_column_scale_invariant(const_profile):
     sd_a = solve_spectrum(assemble(const_profile, 96), 9)
     heavy = constant_profile(rho=16.0)
     sd_b = solve_spectrum(assemble(heavy, 96), 9)
-    ta = trace_limit_report(sd_a, geometry(const_profile))
-    tb = trace_limit_report(sd_b, geometry(heavy))
+    ta = trace_limit_report(sd_a)
+    tb = trace_limit_report(sd_b)
     assert tb.column("limit_ratio") == pytest.approx(ta.column("limit_ratio"), rel=1e-9)
 
 
-def test_reports_demand_enough_trusted_modes(sd_const_512, const_geometry):
+def test_reports_demand_enough_trusted_modes(sd_const_512):
     starved = dataclasses.replace(sd_const_512, trusted_count=2)
     with pytest.raises(ValueError):
-        spacing_report(starved, const_geometry)
+        spacing_report(starved)
     with pytest.raises(ValueError):
-        gap_report(starved, const_geometry)
+        gap_report(starved)
     with pytest.raises(ValueError):
-        trace_limit_report(starved, const_geometry)
+        trace_limit_report(starved)
 
-
-def test_reports_refuse_geometry_of_another_profile(sd_const_512, const_geometry,
-                                                    var_geometry):
-    for report in (spacing_report, gap_report, trace_limit_report, index_offset):
-        with pytest.raises(ValueError, match="different profiles"):
-            report(sd_const_512, var_geometry)
-    # an equal profile built separately is another profile too
-    with pytest.raises(ValueError, match="different profiles"):
-        trace_limit_report(sd_const_512, geometry(constant_profile()))
-    # a plain optical length carries no profile and is taken as given
-    gamma = const_geometry.optical_length
-    for report in (spacing_report, gap_report):
-        assert report(sd_const_512, gamma).rows == report(sd_const_512, const_geometry).rows
-    assert index_offset(sd_const_512, gamma) == index_offset(sd_const_512, const_geometry)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from bischro import ProfileError, build_profile, constant_profile, geometry
+from bischro.coefficients import _quarter_power
+
+from .oracles import gauss_integral
 
 
 def test_constant_profile_evaluations():
@@ -59,12 +62,12 @@ def test_geometry_quartic_density_analytic():
                        "sigma": 1.0, "q": 0.0})
     geo = geometry(p)
     assert geo.optical_length == pytest.approx(1.5, rel=1e-13)
-    assert geo.error_estimate < 1e-12
+    assert geo.optical_length == pytest.approx(fine_optical_length(p), rel=1e-15)
 
 
 def test_phase_hits_optical_length_at_right_end(var_profile):
     geo = geometry(var_profile)
-    assert abs(geo.phase(1.0) - geo.optical_length) <= max(geo.error_estimate, 1e-13)
+    assert abs(geo.phase(1.0) - geo.optical_length) <= 1e-13
 
 
 def test_phase_strictly_increasing(var_profile):
@@ -97,12 +100,15 @@ def test_geometry_deterministic(var_profile):
     assert np.array_equal(a.phase(xs), b.phase(xs))
 
 
-def test_refinement_within_error_estimate(var_profile):
-    coarse = geometry(var_profile, cells=64)
-    fine = geometry(var_profile, cells=128)
-    assert abs(fine.optical_length - coarse.optical_length) <= max(
-        coarse.error_estimate, 1e-14
-    )
+def fine_optical_length(profile):
+    """Reference quarter-power integral: 4096 panels of order 16."""
+    return gauss_integral(lambda x: _quarter_power(profile, x), 0.0, profile.length,
+                          panels=4096, order=16)
+
+
+def test_optical_length_matches_fine_reference(var_profile):
+    geo = geometry(var_profile)
+    assert geo.optical_length == pytest.approx(fine_optical_length(var_profile), rel=1e-15)
 
 
 def test_sampled_profile_runs_whole_pipeline():

@@ -9,12 +9,13 @@ from bischro import (
     ResamplingError,
     evolve_controlled,
     evolve_free,
-    filon_moment,
     modal_state,
     phase_integral,
     project_initial,
     sobolev_norm,
 )
+from bischro.dynamics import SAMPLES_PER_PERIOD, _filon_moments, _uniform_grid
+
 from .oracles import gauss_integral, rk_controlled
 
 
@@ -131,7 +132,6 @@ def test_evolve_free_group_property(sd_const_128, rng):
     a = evolve_free(evolve_free(state, 0.2), 0.5)
     b = evolve_free(state, 0.7)
     assert a.coefficients == pytest.approx(b.coefficients, rel=1e-14)
-    assert a.time == pytest.approx(b.time)
 
     state = modal_state(sd_const_128, rng.standard_normal(6) + 1j * rng.standard_normal(6))
     a = evolve_free(evolve_free(state, 0.2), 0.5)
@@ -189,32 +189,54 @@ def test_phase_integral_array_matches_scalar_calls_bitwise():
     assert phase_integral(np.array(0.0), T) == complex(T)
 
 
+def filon(ts, fs, omegas):
+    return _filon_moments(*_uniform_grid(ts, fs), np.asarray(omegas, dtype=float))
+
+
 def test_filon_matches_closed_form_for_exponential():
     T = 2.0
     ts = np.linspace(0, T, 4001)
     for omega_f, omega in ((3.0, 40.0), (0.0, 0.0), (11.0, 1e-4)):
         fs = np.exp(1j * omega_f * ts)
         exact = phase_integral(omega_f - omega, T)
-        assert filon_moment(ts, fs, omega) == pytest.approx(exact, rel=1e-8, abs=1e-12)
+        assert filon(ts, fs, [omega])[0] == pytest.approx(exact, rel=1e-8, abs=1e-12)
+
+
+def quadratic_moment(omega, T):
+    return gauss_integral(lambda t: (1.5 + 2 * t - 3 * t**2) * np.exp(-1j * omega * t),
+                          0, T, panels=max(32, int(omega)), order=12)
 
 
 def test_filon_polynomial_times_phase():
-    # quadratics are integrated exactly up to roundoff, any frequency
+    # quadratics are integrated exactly up to roundoff, every mode in one
+    # call; omega = 57 puts 0.57 rad on each panel, near the sampling gate
     T = 1.0
     ts = np.linspace(0, T, 201)
     fs = 1.5 + 2.0 * ts - 3.0 * ts**2
-    for omega in (0.0, 2.0, 57.0):
-        exact = gauss_integral(lambda t: (1.5 + 2 * t - 3 * t**2) * np.exp(-1j * omega * t),
-                               0, T, panels=max(32, int(omega)), order=12)
-        assert filon_moment(ts, fs, omega) == pytest.approx(exact, rel=1e-12, abs=1e-14)
+    omegas = (0.0, 2.0, 57.0)
+    for omega, moment in zip(omegas, filon(ts, fs, omegas)):
+        exact = quadratic_moment(omega, T)
+        assert moment == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+def test_filon_series_exact_at_sampling_gate():
+    # SAMPLES_PER_PERIOD samples per period is the coarsest grid a forward
+    # solve accepts: 4 pi / SAMPLES_PER_PERIOD rad per panel, the edge of
+    # the panel-weight series
+    T = 1.0
+    ts = np.linspace(0, T, 201)
+    omega = 4.0 * np.pi / SAMPLES_PER_PERIOD / (2.0 * (ts[1] - ts[0]))
+    fs = 1.5 + 2.0 * ts - 3.0 * ts**2
+    exact = quadratic_moment(omega, T)
+    assert filon(ts, fs, [omega])[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_filon_requires_odd_uniform_grid():
     with pytest.raises(ValueError, match="odd"):
-        filon_moment(np.linspace(0, 1, 10), np.zeros(10), 1.0)
+        _uniform_grid(np.linspace(0, 1, 10), np.zeros(10))
     bad = np.concatenate([np.linspace(0, 0.5, 5), np.linspace(0.6, 1.0, 4)])
     with pytest.raises(ValueError, match="uniform"):
-        filon_moment(bad, np.zeros(9), 1.0)
+        _uniform_grid(bad, np.zeros(9))
 
 
 # ---- controlled evolution --------------------------------------------------

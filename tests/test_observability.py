@@ -232,8 +232,8 @@ def test_beurling_arithmetic_sequence():
     assert est.estimate == values[-1]
 
 
-def test_beurling_oracle_eigenvalues_decay():
-    mus = characteristic_roots(1.0, 200)
+def test_beurling_oracle_eigenvalues_decay(const_geometry):
+    mus = characteristic_roots(const_geometry, 200)
     lams = mus**4
     r = lams[-1] / 10
     est = beurling_density(lams, r_grid=[r])
