@@ -11,12 +11,15 @@ Every file is rendered before the first one is written, so a failing
 run writes nothing.  The files are staged in a temporary directory
 inside the output directory and renamed into place after the last
 write, so a failed write leaves the files that existed before the run
-untouched and removes the directories the run created.  The exit code tells the failure class apart:
+untouched and removes the directories the run created.  The
+installed ``bischro`` script and ``python -m bischro.cli`` both call
+:func:`main`, whose exit code tells the failure class apart:
 
     0  success
     2  configuration or profile error, found by ``parse_config`` before
-       any solve (trusted-mode counts included), or an output file that
-       cannot be written
+       any solve (trusted-mode counts included), a config file that
+       cannot be read or is not UTF-8, or an output file that cannot be
+       written
     3  numerical failure (eigensolve breakdown, observability Gram
        positivity lost)
     4  conditioning refusal (Gram condition above the cap)
@@ -29,7 +32,7 @@ import errno
 import json
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,20 +80,6 @@ def _json(schema_name, payload):
     return json.dumps(doc, sort_keys=True, indent=1, default=_json_default) + "\n"
 
 
-@dataclass
-class RunReport:
-    kind: str
-    schema: str
-    records: list = field(default_factory=list)
-    files: list = field(default_factory=list)
-
-    def lines(self):
-        out = [f"kind: {self.kind}", f"schema: {self.schema}"]
-        out += [f"record: {rec}" for rec in self.records]
-        out += [f"wrote: {f}" for f in self.files]
-        return out
-
-
 def _initial_state(config, sd):
     coeff = np.zeros(sd.trusted_count, dtype=complex)
     for n, re, im in config.initial_coefficients:
@@ -101,36 +90,30 @@ def _initial_state(config, sd):
 def _export_matrices(op):
     files = {}
     for name, band in (("stiffness", op.kband), ("mass", op.mband)):
-        rows = []
-        n = band.shape[1]
-        for d in range(band.shape[0]):
-            for j in range(n - d):
-                v = band[d, j]
-                if v != 0.0:
-                    rows.append((j + d, j, v))
-        rows.sort()
+        d, col = np.nonzero(band)  # band[d, j] holds entry (j + d, j)
+        keep = col + d < band.shape[1]
+        d, col = d[keep], col[keep]
+        order = np.lexsort((col, col + d))  # by row, then column
+        rows = zip((col + d)[order].tolist(), col[order].tolist(), band[d, col][order].tolist())
         files[f"{name}.csv"] = _csv("matrix", ("row", "col", "value"), rows)
     return files
 
 
-def _run_spectrum(config, sd, report):
+def _run_spectrum(config, sd):
     rows = [
         (n + 1, sd.eigenvalues[n], sd.wavenumbers[n], sd.traces[n], sd.residuals[n])
         for n in range(sd.count)
     ]
     files = {"spectrum.csv": _csv("spectrum", ("n", "lambda", "mu", "trace", "residual"), rows)}
     check = validate_spectrum(sd)
-    report.records.append({
-        "modes": sd.count, "trusted": sd.trusted_count,
-        "validation": "pass" if check.passed else "fail",
-        "failures": check.failures,
-    })
     if config.export_matrices:
         files.update(_export_matrices(sd.op))
-    return files
+    return files, {"modes": sd.count, "trusted": sd.trusted_count,
+                   "validation": "pass" if check.passed else "fail",
+                   "failures": check.failures}
 
 
-def _run_asymptotics(config, sd, report):
+def _run_asymptotics(config, sd):
     files = {
         fname: _csv(table.name, table.columns, table.rows)
         for table, fname in (
@@ -139,13 +122,11 @@ def _run_asymptotics(config, sd, report):
             (trace_limit_report(sd), "trace.csv"),
         )
     }
-    report.records.append({"optical_length": geometry(sd.op.profile).optical_length,
-                           "trusted": sd.trusted_count,
-                           "index_offset": index_offset(sd)})
-    return files
+    return files, {"optical_length": geometry(sd.op.profile).optical_length,
+                   "trusted": sd.trusted_count, "index_offset": index_offset(sd)}
 
 
-def _run_observability(config, sd, report):
+def _run_observability(config, sd):
     rows = []
     for T in config.horizons:
         rep = observability_constants(sd, T, sd.trusted_count)
@@ -156,12 +137,11 @@ def _run_observability(config, sd, report):
             )
         rows.append((rep.horizon, rep.n_modes, rep.c_lower, rep.c_upper,
                      rep.gram_condition, rep.density))
-    report.records.append({"cells": len(rows)})
-    return {"observability.csv": _csv(
-        "observability", ("T", "N", "c_T", "C_T", "condition", "density_estimate"), rows)}
+    columns = ("T", "N", "c_T", "C_T", "condition", "density_estimate")
+    return {"observability.csv": _csv("observability", columns, rows)}, {"cells": len(rows)}
 
 
-def _run_control(config, sd, report):
+def _run_control(config, sd):
     T = config.horizons[0]
     state0 = _initial_state(config, sd)
     sigma_l = sd.sigma_at_right_end()
@@ -175,12 +155,7 @@ def _run_control(config, sd, report):
 
     ts = np.linspace(0.0, T, 2001)
     fv = sol.waveform()(ts)
-    report.records.append({
-        "residual_final": sol.residual_final,
-        "hum_agreement_l2": agreement,
-        "control_norm": sol.control_norm,
-    })
-    return {
+    files = {
         "control_report.json": _json("control", {
             "T": T, "N": sol.n_modes,
             "moments": sol.moments, "beta": sol.beta,
@@ -195,17 +170,18 @@ def _run_control(config, sd, report):
         "control.csv": _csv("control-waveform", ("t", "re_f", "im_f"),
                             [(t, v.real, v.imag) for t, v in zip(ts, fv)]),
     }
+    return files, {"residual_final": sol.residual_final, "hum_agreement_l2": agreement,
+                   "control_norm": sol.control_norm}
 
 
-def _run_simulate(config, sd, report):
+def _run_simulate(config, sd):
     state0 = _initial_state(config, sd)
     files = {}
     for k, T in enumerate(config.horizons):
         state = evolve_free(state0, T)
         rows = [(n + 1, c.real, c.imag) for n, c in enumerate(state.coefficients)]
         files[f"state_{k:03d}.csv"] = _csv("state", ("n", "re_c", "im_c"), rows)
-    report.records.append({"snapshots": len(config.horizons)})
-    return files
+    return files, {"snapshots": len(config.horizons)}
 
 
 _RUNNERS = {
@@ -218,7 +194,7 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute a validated config, then write its files; returns the report.
+    """Execute a validated config, then write its files; returns the stdout lines.
 
     Every file is rendered in memory before the first write, so a failing
     computation writes nothing.  The files are written into a staging
@@ -227,10 +203,9 @@ def run(config):
     before the run untouched; it also removes the directories this run
     created, then re-raises the OSError.
     """
-    report = RunReport(kind=config.kind, schema=SCHEMA_VERSION)
     op = assemble(build_profile(config.profile_spec), config.elements)
     sd = solve_spectrum(op, config.modes)
-    files = _RUNNERS[config.kind](config, sd, report)
+    files, record = _RUNNERS[config.kind](config, sd)
 
     outdir = Path(config.output)
     targets = [outdir / name for name in files]
@@ -250,8 +225,8 @@ def run(config):
             if d.exists():  # mkdir may have failed part of the way down
                 d.rmdir()
         raise
-    report.files = [str(p) for p in targets]
-    return report
+    return [f"kind: {config.kind}", f"schema: {SCHEMA_VERSION}", f"record: {record}",
+            *(f"wrote: {p}" for p in targets)]
 
 
 def main(argv=None):
@@ -271,7 +246,7 @@ def main(argv=None):
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -282,7 +257,7 @@ def main(argv=None):
             )
         if args.out is not None:
             config = replace(config, output=args.out)
-        report = run(config)
+        lines = run(config)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -296,10 +271,14 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for line in report.lines():
+    for line in lines:
         print(line)
     return EXIT_OK
 
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

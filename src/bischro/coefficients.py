@@ -5,9 +5,11 @@ The clamped fourth-order operator on [0, ell],
     u  ->  ( (sigma u'')'' - (q u')' ) / rho,
 
 is parametrized by a mass density rho > 0, a bending stiffness sigma > 0
-and a nonnegative first-order coefficient q.  Everything downstream
-consumes the coefficients through :class:`CoefficientProfile`, which
-guards positivity on a dense validation grid, and through
+and a nonnegative first-order coefficient q, each a plain callable:
+NumPy's ``polyval`` bound to its coefficients, or SciPy's PCHIP through
+samples.  Everything downstream consumes them through
+:class:`CoefficientProfile`, which guards positivity on a dense
+validation grid, and through
 :class:`WaveGeometry`, which tabulates the quantities controlling the
 high-frequency behaviour of the spectrum:
 
@@ -24,6 +26,8 @@ estimate and takes no cell count.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,59 +45,37 @@ DEFAULT_CELLS = 256
 DEFAULT_ORDER = 4
 
 
-class Coefficient:
-    """One coefficient function, given as a polynomial or as sample data.
-
-    Polynomials are stored as coefficient lists in increasing degree.
-    Sampled data is interpolated with a monotone piecewise cubic (PCHIP),
-    which is C1 and never overshoots the data range, so strictly positive
-    samples produce a strictly positive interpolant.
-    """
-
-    def __init__(self, poly=None, samples=None):
-        if (poly is None) == (samples is None):
-            raise ProfileError("coefficient needs exactly one of poly= or samples=")
-        if poly is not None:
-            coeffs = np.atleast_1d(np.asarray(poly, dtype=float))
-            if coeffs.ndim != 1 or coeffs.size == 0:
-                raise ProfileError("poly must be a nonempty 1-d coefficient list")
-            self._poly = coeffs
-            self._interp = None
-        else:
-            pts = np.asarray(samples, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-                raise ProfileError("samples must be a list of at least two (x, value) pairs")
-            xs, vs = pts[:, 0], pts[:, 1]
-            if np.any(np.diff(xs) <= 0):
-                raise ProfileError("sample abscissae must be strictly increasing")
-            self._poly = None
-            self._interp = PchipInterpolator(xs, vs, extrapolate=True)
-            self._span = (xs[0], xs[-1])
-
-    def check_cover(self, length):
-        if self._interp is not None:
-            lo, hi = self._span
-            if lo > 1e-12 * length or hi < length * (1 - 1e-12):
-                raise ProfileError(
-                    f"samples cover [{lo:g}, {hi:g}] but must cover [0, {length:g}]"
-                )
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._poly is not None:
-            return np.polynomial.polynomial.polyval(x, self._poly)
-        return self._interp(x)
-
-
-def _as_coefficient(spec, name):
+def _coefficient(spec, name, length):
+    """A number or ``{"poly": [...]}`` (increasing degree) as ``polyval``;
+    ``{"samples": [(x, v), ...]}`` covering [0, length] as a monotone
+    piecewise cubic (PCHIP), which is C1 and never overshoots the data
+    range, so strictly positive samples give a positive interpolant."""
     if isinstance(spec, (int, float)):
-        return Coefficient(poly=[float(spec)])
-    if isinstance(spec, dict):
-        unknown = set(spec) - {"poly", "samples"}
-        if unknown:
-            raise ProfileError(f"{name}: unknown coefficient keys {sorted(unknown)}")
-        return Coefficient(poly=spec.get("poly"), samples=spec.get("samples"))
-    raise ProfileError(f"{name}: expected number or dict, got {type(spec).__name__}")
+        spec = {"poly": [float(spec)]}
+    elif not isinstance(spec, dict):
+        raise ProfileError(f"{name}: expected number or dict, got {type(spec).__name__}")
+    unknown = set(spec) - {"poly", "samples"}
+    if unknown:
+        raise ProfileError(f"{name}: unknown coefficient keys {sorted(unknown)}")
+    poly, samples = spec.get("poly"), spec.get("samples")
+    if (poly is None) == (samples is None):
+        raise ProfileError("coefficient needs exactly one of poly= or samples=")
+    if poly is not None:
+        coeffs = np.atleast_1d(np.asarray(poly, dtype=float))
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ProfileError("poly must be a nonempty 1-d coefficient list")
+        return functools.partial(np.polynomial.polynomial.polyval, c=coeffs)
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        raise ProfileError("samples must be a list of at least two (x, value) pairs")
+    xs, vs = pts[:, 0], pts[:, 1]
+    if np.any(np.diff(xs) <= 0):
+        raise ProfileError("sample abscissae must be strictly increasing")
+    if xs[0] > 1e-12 * length or xs[-1] < length * (1 - 1e-12):
+        raise ProfileError(
+            f"samples cover [{xs[0]:g}, {xs[-1]:g}] but must cover [0, {length:g}]"
+        )
+    return PchipInterpolator(xs, vs, extrapolate=True)
 
 
 @dataclass(frozen=True)
@@ -101,9 +83,9 @@ class CoefficientProfile:
     """Admissible coefficient triple (rho, sigma, q) on [0, length]."""
 
     length: float
-    rho: Coefficient
-    sigma: Coefficient
-    q: Coefficient
+    rho: Callable[[np.ndarray], np.ndarray]
+    sigma: Callable[[np.ndarray], np.ndarray]
+    q: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if not (self.length > 0):
@@ -111,12 +93,8 @@ class CoefficientProfile:
 
 
 def _validation_grid(length):
-    uniform = np.linspace(0.0, length, VALIDATION_POINTS)
-    cells = np.linspace(0.0, length, DEFAULT_CELLS + 1)
-    gx, _ = _gauss_rule(DEFAULT_ORDER)
-    h = cells[1] - cells[0]
-    quad = (cells[:-1, None] + gx[None, :] * h).ravel()
-    return np.union1d(uniform, quad)
+    _, nodes, _ = _gauss_nodes(length)
+    return np.union1d(np.linspace(0.0, length, VALIDATION_POINTS), nodes.ravel())
 
 
 def build_profile(spec):
@@ -140,11 +118,9 @@ def build_profile(spec):
     length = float(spec["length"])
     if not length > 0:
         raise ProfileError(f"interval length must be positive, got {length:g}")
-    rho = _as_coefficient(spec["rho"], "rho")
-    sigma = _as_coefficient(spec["sigma"], "sigma")
-    q = _as_coefficient(spec["q"], "q")
-    for c in (rho, sigma, q):
-        c.check_cover(length)
+    rho = _coefficient(spec["rho"], "rho", length)
+    sigma = _coefficient(spec["sigma"], "sigma", length)
+    q = _coefficient(spec["q"], "q", length)
 
     grid = _validation_grid(length)
     for name, fn, strict in (("rho", rho, True), ("sigma", sigma, True), ("q", q, False)):
@@ -173,6 +149,14 @@ def _gauss_rule(order):
     """Gauss-Legendre nodes/weights mapped to the unit interval [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+def _gauss_nodes(length):
+    """Cell edges, (cell, node) points and unit weights of the composite
+    Gauss rule of order DEFAULT_ORDER on DEFAULT_CELLS equal cells."""
+    edges = np.linspace(0.0, length, DEFAULT_CELLS + 1)
+    gx, gw = _gauss_rule(DEFAULT_ORDER)
+    return edges, edges[:-1, None] + gx[None, :] * (edges[1] - edges[0]), gw
 
 
 @dataclass(frozen=True)
@@ -218,11 +202,8 @@ class WaveGeometry:
 def geometry(profile):
     """Tabulate the wave geometry of a profile: composite Gauss quadrature
     of the fixed order DEFAULT_ORDER on DEFAULT_CELLS equal cells."""
-    edges = np.linspace(0.0, profile.length, DEFAULT_CELLS + 1)
-    h = edges[1] - edges[0]
-    gx, gw = _gauss_rule(DEFAULT_ORDER)
-    nodes = edges[:-1, None] + gx[None, :] * h
-    cell_integrals = h * (_quarter_power(profile, nodes) @ gw)
+    edges, nodes, gw = _gauss_nodes(profile.length)
+    cell_integrals = (edges[1] - edges[0]) * (_quarter_power(profile, nodes) @ gw)
 
     geo = WaveGeometry(
         profile=profile,

@@ -69,10 +69,9 @@ class ModalState:
         return self.basis.eigenvalues[: len(self.coefficients)]
 
 
-def modal_state(sd, coefficients, projection_residual=None):
+def modal_state(sd, coefficients):
     """State with the given coefficients against the modes of ``sd``."""
-    coeff = np.asarray(coefficients, dtype=complex).copy()
-    return ModalState(coefficients=coeff, basis=sd, projection_residual=projection_residual)
+    return ModalState(coefficients=np.asarray(coefficients, dtype=complex).copy(), basis=sd)
 
 
 def _check_problem(state, sd, sigma_l):
@@ -121,8 +120,7 @@ def project_initial(sd, y0, derivative=None):
 
     m = sd.trusted_count
     my = band_matvec(op.mband, dofs)
-    coeff = sd.modes[:, :m].T @ op.constrain(my)
-    coeff = np.asarray(coeff, dtype=complex)
+    coeff = (sd.modes[:, :m].T @ op.constrain(my)).astype(complex)
 
     _, mbc = op.constrained_bands()
     yc = op.constrain(dofs)
@@ -131,7 +129,7 @@ def project_initial(sd, y0, derivative=None):
     num = np.sqrt(abs(np.vdot(diff, band_matvec(mbc, diff)).real))
     den = np.sqrt(abs(np.vdot(yc, band_matvec(mbc, yc)).real))
     residual = float(num / den) if den > 0 else 0.0
-    return modal_state(sd, coeff, projection_residual=residual)
+    return ModalState(coefficients=coeff, basis=sd, projection_residual=residual)
 
 
 def evolve_free(state, t):

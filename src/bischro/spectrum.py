@@ -121,7 +121,6 @@ def _estimate_lambda_max(kb, mb, cb, iterations=50):
     x = np.ones(n)
     x[::2] = -1.0
     x /= np.linalg.norm(x)
-    lam = 0.0
     for _ in range(iterations):
         y = band_matvec(kb, x)
         x = sla.cho_solve_banded((cb, True), y)
@@ -129,8 +128,7 @@ def _estimate_lambda_max(kb, mb, cb, iterations=50):
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericalError(f"lambda_max power iteration: iterate has norm {nrm}")
         x /= nrm
-        lam = x @ band_matvec(kb, x) / (x @ band_matvec(mb, x))
-    return lam
+    return x @ band_matvec(kb, x) / (x @ band_matvec(mb, x))
 
 
 def solve_spectrum(op, count):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,41 @@ def test_negative_length_rejected():
 def test_negative_q_rejected():
     with pytest.raises(ProfileError, match="q"):
         build_profile({"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": {"poly": [0.0, -0.5]}})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1.0", "rho: expected number or dict, got str"),
+    ({"poly": [1.0], "knots": [0.0]}, "rho: unknown coefficient keys ['knots']"),
+    ({}, "coefficient needs exactly one of poly= or samples="),
+    ({"poly": [1.0], "samples": [(0.0, 1.0), (1.0, 1.0)]},
+     "coefficient needs exactly one of poly= or samples="),
+    ({"poly": []}, "poly must be a nonempty 1-d coefficient list"),
+    ({"poly": [[1.0, 2.0]]}, "poly must be a nonempty 1-d coefficient list"),
+    ({"samples": [(0.0, 1.0)]}, "samples must be a list of at least two (x, value) pairs"),
+    ({"samples": [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0)]},
+     "sample abscissae must be strictly increasing"),
+    ({"samples": [(0.0, 1.0), (0.5, 1.0)]}, "samples cover [0, 0.5] but must cover [0, 1]"),
+    ({"samples": [(0.1, 1.0), (1.0, 1.0)]}, "samples cover [0.1, 1] but must cover [0, 1]"),
+])
+def test_malformed_coefficient_spec_rejected(spec, message):
+    with pytest.raises(ProfileError) as err:
+        build_profile({"length": 1.0, "rho": spec, "sigma": 1.0, "q": 0.0})
+    assert str(err.value) == message
+
+
+def test_first_malformed_coefficient_is_reported_in_rho_sigma_q_order():
+    with pytest.raises(ProfileError, match="samples cover"):
+        build_profile({"length": 1.0, "rho": {"samples": [(0.0, 1.0), (0.5, 1.0)]},
+                       "sigma": {"poly": []}, "q": 0.0})
+
+
+def test_profile_pickles_and_evaluates_identically():
+    p = build_profile({"length": 1.0, "rho": {"poly": [1.0, 0.5]}, "q": 0.1,
+                       "sigma": {"samples": [(0.0, 1.0), (0.4, 1.3), (1.0, 1.1)]}})
+    back = pickle.loads(pickle.dumps(p))
+    xs = np.linspace(0, 1, 33)
+    for name in ("rho", "sigma", "q"):
+        assert np.array_equal(getattr(back, name)(xs), getattr(p, name)(xs))
 
 
 def test_geometry_constant_coefficients():

@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bischro.cli
 import bischro.spectrum
 from bischro import ConfigError, assemble, build_profile, parse_config
 from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
@@ -156,6 +159,29 @@ def test_cli_entry_script_exits_zero(tmp_path, monkeypatch, capsys):
         entry()
     assert exc.value.code == EXIT_OK
     assert (out / "spectrum.csv").exists()
+
+
+def test_cli_module_runs_as_script(tmp_path):
+    cfg = _write(tmp_path, MINIMAL)
+    out = tmp_path / "module"
+    src = str(Path(bischro.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "bischro.cli", "spectrum", "--config", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert f"wrote: {out / 'spectrum.csv'}" in proc.stdout.splitlines()
+    assert (out / "spectrum.csv").exists()
+
+
+def test_cli_config_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(MINIMAL.encode("ascii") + b"# caf\xe9\n")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 ASYMPTOTICS_CFG = MINIMAL.replace("kind = spectrum", "kind = asymptotics")
