@@ -3,8 +3,6 @@ fourth-order (biharmonic) Schrodinger equation with variable coefficients
 on an interval."""
 
 from .asymptotics import (
-    AsymptoticModel,
-    asymptotic_model,
     characteristic_roots,
     eigenfunction_asymptote,
     gap_report,

@@ -1,7 +1,7 @@
 """Serial OpenBLAS for the small dense layers.
 
-The Gram, observability, control and Filon layers work on complex
-matrices of order N <= ~200.  There a threaded OpenBLAS wakes its worker
+The Gram, observability and control layers work on complex matrices
+of order N <= ~200.  There a threaded OpenBLAS wakes its worker
 threads on every zpotrf/zheevr/zgemv call and loses more than the second
 thread gains (a moment+HUM control pair at N = 102: 16-28 ms at two
 threads, 12-17 ms at one, on a 2-core machine).  The dense eigensolve

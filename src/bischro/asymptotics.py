@@ -22,8 +22,6 @@ tolerance meaningless already for the tenth root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import brentq
 
@@ -31,6 +29,7 @@ from .coefficients import WaveGeometry, geometry
 from .reports import ReportTable
 
 ROOT_RESIDUAL_TOL = 1e-10
+MIN_REPORT_MODES = 5  # trusted modes the gap and trace reports need
 
 
 def _char_scaled(x):
@@ -43,8 +42,9 @@ def characteristic_roots(geo, count):
     gamma the optical length of the WaveGeometry ``geo``.
 
     The k-th root lies within 0.5 of (k + 1/2) pi / gamma and the scaled
-    characteristic function changes sign across that bracket, so plain
-    bracketed root finding cannot miss or skip roots.
+    characteristic function changes sign across that bracket (|cos| =
+    sin 0.5 ~ 0.479 at both ends, sech <= 0.03), so plain bracketed root
+    finding cannot miss or skip roots.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -52,33 +52,11 @@ def characteristic_roots(geo, count):
     roots = np.empty(count)
     for k in range(1, count + 1):
         z = (k + 0.5) * np.pi
-        a, b = z - 0.5, z + 0.5
-        fa, fb = _char_scaled(a), _char_scaled(b)
-        if fa * fb > 0:
-            raise RuntimeError(
-                f"characteristic bracket [{a:.6g}, {b:.6g}] lost the sign change; "
-                "geometry data is corrupt"
-            )
-        x = brentq(_char_scaled, a, b, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        x = brentq(_char_scaled, z - 0.5, z + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
         if abs(_char_scaled(x)) > ROOT_RESIDUAL_TOL:
             raise RuntimeError(f"root {k} residual {abs(_char_scaled(x)):.3e} too large")
         roots[k - 1] = x / gamma
     return roots
-
-
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """Characteristic roots with their scaled residuals."""
-
-    geometry: WaveGeometry
-    mu_tilde: np.ndarray
-    residuals: np.ndarray
-
-
-def asymptotic_model(geo, count):
-    mu = characteristic_roots(geo, count)
-    res = np.abs(_char_scaled(mu * geo.optical_length))
-    return AsymptoticModel(geometry=geo, mu_tilde=mu, residuals=res)
 
 
 def index_offset(sd):
@@ -117,8 +95,8 @@ def gap_report(sd):
     column free of enumeration-offset bias, so it tends to 1 like 1/n^2
     instead of 1/n.
     """
-    if sd.trusted_count < 5:
-        raise ValueError("gap report needs trusted_count >= 5")
+    if sd.trusted_count < MIN_REPORT_MODES:
+        raise ValueError(f"gap report needs trusted_count >= {MIN_REPORT_MODES}")
     gamma = geometry(sd.op.profile).optical_length
     m = sd.trusted_count
     lam = sd.eigenvalues[:m]
@@ -132,8 +110,9 @@ def gap_report(sd):
     return ReportTable("gap", ("n", "delta_lambda", "normalized_gap"), rows)
 
 
-def eigenfunction_asymptote(model, n, x):
-    """Leading-order mode shape at x for the n-th characteristic root.
+def eigenfunction_asymptote(geo, n, x):
+    """Leading-order mode shape at x for the n-th characteristic root of
+    the WaveGeometry ``geo``.
 
     Evaluates
 
@@ -147,15 +126,12 @@ def eigenfunction_asymptote(model, n, x):
     so the combination is evaluated rearranged into scaled exponentials
     whose exponents are all nonpositive, which is valid at every index.
     """
-    if not isinstance(model, AsymptoticModel):
-        raise TypeError("eigenfunction_asymptote expects an AsymptoticModel")
-    if not 1 <= n <= len(model.mu_tilde):
-        raise ValueError(f"mode index {n} outside available roots")
-    geo = model.geometry
+    if not isinstance(geo, WaveGeometry):
+        raise TypeError("eigenfunction_asymptote expects a WaveGeometry")
+    mu = characteristic_roots(geo, n)[-1]
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)
-    mu = model.mu_tilde[n - 1]
     gamma = geo.optical_length
     a = mu * gamma
     b = mu * np.atleast_1d(geo.phase(xv))
@@ -196,8 +172,8 @@ def trace_limit(geo):
 
 def trace_limit_report(sd):
     """Rows (n, |t_n| / sqrt(lambda_n), ratio to the trace limit of sd's profile)."""
-    if sd.trusted_count < 5:
-        raise ValueError("trace report needs trusted_count >= 5")
+    if sd.trusted_count < MIN_REPORT_MODES:
+        raise ValueError(f"trace report needs trusted_count >= {MIN_REPORT_MODES}")
     limit = trace_limit(geometry(sd.op.profile))
     rows = []
     for n in range(sd.trusted_count):

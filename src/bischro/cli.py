@@ -83,7 +83,7 @@ def _json(schema_name, payload):
 def _initial_state(config, sd):
     coeff = np.zeros(sd.trusted_count, dtype=complex)
     for n, re, im in config.initial_coefficients:
-        coeff[n - 1] += re + 1j * im
+        coeff[n - 1] = re + 1j * im
     return modal_state(sd, coeff)
 
 

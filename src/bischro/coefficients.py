@@ -8,8 +8,9 @@ is parametrized by a mass density rho > 0, a bending stiffness sigma > 0
 and a nonnegative first-order coefficient q, each a plain callable:
 NumPy's ``polyval`` bound to its coefficients, or SciPy's PCHIP through
 samples.  Everything downstream consumes them through
-:class:`CoefficientProfile`, which guards positivity on a dense
-validation grid, and through
+:class:`CoefficientProfile`, which :func:`build_profile` returns only
+once every input is finite and positivity holds on a dense validation
+grid, and through
 :class:`WaveGeometry`, which tabulates the quantities controlling the
 high-frequency behaviour of the spectrum:
 
@@ -64,10 +65,14 @@ def _coefficient(spec, name, length):
         coeffs = np.atleast_1d(np.asarray(poly, dtype=float))
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ProfileError("poly must be a nonempty 1-d coefficient list")
+        if not np.all(np.isfinite(coeffs)):
+            raise ProfileError(f"{name} must be finite")
         return functools.partial(np.polynomial.polynomial.polyval, c=coeffs)
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ProfileError("samples must be a list of at least two (x, value) pairs")
+    if not np.all(np.isfinite(pts)):
+        raise ProfileError(f"{name} must be finite")
     xs, vs = pts[:, 0], pts[:, 1]
     if np.any(np.diff(xs) <= 0):
         raise ProfileError("sample abscissae must be strictly increasing")
@@ -86,10 +91,6 @@ class CoefficientProfile:
     rho: Callable[[np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray], np.ndarray]
     q: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if not (self.length > 0):
-            raise ProfileError(f"interval length must be positive, got {self.length}")
 
 
 def _validation_grid(length):
@@ -118,6 +119,8 @@ def build_profile(spec):
     length = float(spec["length"])
     if not length > 0:
         raise ProfileError(f"interval length must be positive, got {length:g}")
+    if not np.isfinite(length):
+        raise ProfileError("length must be finite")
     rho = _coefficient(spec["rho"], "rho", length)
     sigma = _coefficient(spec["sigma"], "sigma", length)
     q = _coefficient(spec["q"], "q", length)

@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .asymptotics import MIN_REPORT_MODES
 from .control import CONDITION_CAP
 from .operator import constrained_dimension, trusted_count
 
@@ -182,18 +183,22 @@ def parse_config(text):
 
     kind = values.get("kind")
     elements, modes = values.get("elements"), values.get("modes")
+    indices = [p[0] for p in values.get("coefficients", ())]
+    repeated = sorted({n for n in indices if indices.count(n) > 1})
+    if repeated:
+        errors.append(f"line {lines['coefficients']}: coefficients repeat mode indices {repeated}")
     if elements and modes:
         if modes > constrained_dimension(elements):
             errors.append(f"line {lines['modes']}: modes must be at most "
                           f"{constrained_dimension(elements)}, the constrained dimension "
                           f"of {elements} elements, got {modes}")
         trusted = trusted_count(elements, modes)
-        need = 5 if kind == "asymptotics" else 1  # the gap and trace reports need five
+        need = MIN_REPORT_MODES if kind == "asymptotics" else 1
         if kind and trusted < need:
             key = "modes" if modes < need else "elements"
             errors.append(f"line {lines[key]}: {key} = {values[key]} leaves {trusted} trusted "
                           f"modes (min(modes, elements // 10)), kind={kind} needs {need}")
-        top = max((p[0] for p in values.get("coefficients", ())), default=0)
+        top = max(indices, default=0)
         if top > trusted:
             errors.append(f"line {lines['coefficients']}: coefficients name mode {top}, "
                           f"beyond the {trusted} trusted modes")

@@ -84,7 +84,6 @@ def _check_problem(state, sd, sigma_l):
                          "basis; pass sd.sigma_at_right_end()")
 
 
-@serial_blas
 def project_initial(sd, y0, derivative=None):
     """Project initial data on the trusted modes by M-weighted inner products.
 
@@ -318,7 +317,6 @@ def _filon_moments(ts, fs, dt, omegas):
     return np.exp(-1j * omegas * ts[0]) * total
 
 
-@serial_blas
 def evolve_controlled(state0, sd, sigma_l, f, horizon):
     """Forward solve of the boundary-controlled system over [0, horizon].
 

@@ -212,8 +212,8 @@ def assemble(profile, elements):
     for col in range(4):
         for row in range(col, 4):
             d = row - col
-            np.add.at(kband[d], base + col, Ke[:, row, col])
-            np.add.at(mband[d], base + col, Me[:, row, col])
+            kband[d, base + col] += Ke[:, row, col]  # base + col holds no repeats
+            mband[d, base + col] += Me[:, row, col]
     return DiscreteOperator(profile=profile, n_elements=E, h=h, kband=kband, mband=mband)
 
 

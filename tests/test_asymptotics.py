@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bischro import (
-    asymptotic_model,
     assemble,
     build_profile,
     characteristic_roots,
@@ -55,12 +54,13 @@ def test_roots_scale_inversely_with_optical_length(const_geometry):
 
 
 def test_root_residuals_below_gate():
-    model = asymptotic_model(geometry(constant_profile()), 200)
-    assert np.all(model.residuals <= 1e-10)
-    assert np.all(np.diff(model.mu_tilde) > 0)
+    geo = geometry(constant_profile())
+    mu = characteristic_roots(geo, 200)
+    assert np.all(np.abs(_char_scaled(mu * geo.optical_length)) <= 1e-10)
+    assert np.all(np.diff(mu) > 0)
     # roots approach the half-integer grid from the cosine zeros
     k = np.arange(1, 201)
-    assert model.mu_tilde[-1] == pytest.approx((k[-1] + 0.5) * np.pi, rel=1e-9)
+    assert mu[-1] == pytest.approx((k[-1] + 0.5) * np.pi, rel=1e-9)
 
 
 def test_raw_residual_is_uncomputable_for_large_roots(const_geometry):
@@ -132,17 +132,15 @@ def test_index_offset_is_one(sd_const_512):
 
 
 def test_eigenfunction_asymptote_boundary_zeros(const_geometry):
-    model = asymptotic_model(const_geometry, 12)
     for n in (1, 4, 12):
-        assert abs(eigenfunction_asymptote(model, n, 0.0)) < 1e-12
-        assert abs(eigenfunction_asymptote(model, n, 1.0)) < 1e-12
+        assert abs(eigenfunction_asymptote(const_geometry, n, 0.0)) < 1e-12
+        assert abs(eigenfunction_asymptote(const_geometry, n, 1.0)) < 1e-12
 
 
 def test_eigenfunction_asymptote_matches_computed_mode(sd_const_512, const_geometry):
-    model = asymptotic_model(const_geometry, 12)
     xs = np.linspace(0, 1, 64)
     n = 8
-    approx = eigenfunction_asymptote(model, n, xs)
+    approx = eigenfunction_asymptote(const_geometry, n, xs)
     mode = sd_const_512.op.evaluate(sd_const_512.modes[:, n - 1], xs)
     corr = abs(np.dot(approx, mode)) / (np.linalg.norm(approx) * np.linalg.norm(mode))
     assert corr >= 0.999
@@ -151,24 +149,28 @@ def test_eigenfunction_asymptote_matches_computed_mode(sd_const_512, const_geome
 def test_asymptote_matches_literal_formula_at_low_index(const_geometry):
     # below mu gamma = 12 the literal product loses nothing to cancellation,
     # so it is a faithful reference for the rearranged evaluation
-    model = asymptotic_model(const_geometry, 16)
+    mu = characteristic_roots(const_geometry, 16)
     xs = np.linspace(0, 1, 23)
     gamma = const_geometry.optical_length
     for n in (1, 2, 3):
-        a = model.mu_tilde[n - 1] * gamma
+        a = mu[n - 1] * gamma
         assert a < 12.0
-        b = model.mu_tilde[n - 1] * const_geometry.phase(xs)
+        b = mu[n - 1] * const_geometry.phase(xs)
         literal = (2.0 * const_geometry.amplitude(xs) / gamma) * np.exp(-a) * (
             (np.cos(a) - np.cosh(a)) * (np.cos(b) - np.cosh(b))
             + (np.sin(a) + np.sinh(a)) * (np.sin(b) - np.sinh(b))
         )
-        assert eigenfunction_asymptote(model, n, xs) == pytest.approx(
+        assert eigenfunction_asymptote(const_geometry, n, xs) == pytest.approx(
             literal, rel=1e-10, abs=1e-11)
 
 
+def test_asymptote_refuses_anything_but_a_geometry(const_profile):
+    with pytest.raises(TypeError, match="WaveGeometry"):
+        eigenfunction_asymptote(const_profile, 1, 0.5)
+
+
 def test_asymptote_no_overflow_at_high_index(const_geometry):
-    model = asymptotic_model(const_geometry, 40)
-    vals = eigenfunction_asymptote(model, 40, np.linspace(0, 1, 11))
+    vals = eigenfunction_asymptote(const_geometry, 40, np.linspace(0, 1, 11))
     assert np.all(np.isfinite(vals))
 
 

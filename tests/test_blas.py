@@ -46,12 +46,6 @@ def test_threads_restored_after_call(blas, sd_const_128, rng):
     assert _counts(blas) == before
     bischro.observability_constants(sd, 0.5, 8)
     assert _counts(blas) == before
-    bischro.project_initial(sd, lambda x: x**2 * (1 - x) ** 2)
-    assert _counts(blas) == before
-    ts = np.linspace(0, 0.05, 4001)  # 20 samples per period of mode 3
-    bischro.evolve_controlled(modal_state(sd, np.ones(3)), sd, sigma_l,
-                              (ts, np.cos(40 * ts)), 0.05)
-    assert _counts(blas) == before
 
 
 def test_threads_pinned_inside_and_restored_across_nesting(blas, sd_const_128, rng,

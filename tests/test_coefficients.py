@@ -64,6 +64,19 @@ def test_malformed_coefficient_spec_rejected(spec, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("rho", {"poly": [float("nan")]}, "rho must be finite"),
+    ("sigma", float("inf"), "sigma must be finite"),
+    ("length", float("inf"), "length must be finite"),
+    ("q", {"samples": [(0.0, 0.0), (0.5, float("inf")), (1.0, 0.0)]}, "q must be finite"),
+])
+def test_nonfinite_profile_input_rejected(key, value, message):
+    spec = {"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0, key: value}
+    with pytest.raises(ProfileError) as err:
+        build_profile(spec)
+    assert str(err.value) == message
+
+
 def test_first_malformed_coefficient_is_reported_in_rho_sigma_q_order():
     with pytest.raises(ProfileError, match="samples cover"):
         build_profile({"length": 1.0, "rho": {"samples": [(0.0, 1.0), (0.5, 1.0)]},

@@ -427,6 +427,62 @@ def test_cli_initial_coefficient_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_repeated_initial_mode_is_config_error(tmp_path, capsys):
+    text = CONTROL_CFG.replace("(2, 1.0, 0.0)", "(1, 2.0, 0.0), (3, 0.0, 1.0), (3, 1.0, 0.0)")
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1)
+                  if line.startswith("coefficients"))
+    cfg = _write(tmp_path, text.replace("kind = control", "kind = simulate"))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: line {lineno}: coefficients repeat "
+                                       "mode indices [1, 3]\n")
+    assert not out.exists()
+
+
+FRESH_CONFIGS = {
+    "spectrum": "modes = 6\nexport_matrices = true",
+    "asymptotics": "modes = 6",
+    "observability": "modes = 6\nhorizons = [0.05, 0.5, 1.0]",
+    "control": "modes = 6\nhorizons = [0.5]",
+    "simulate": "modes = 6\nhorizons = [0.25, 0.5, 1.0]",
+}
+
+
+def test_cli_fresh_process_artifacts_match_in_process(tmp_path, capsys):
+    # caches and thread counts left by earlier calls must not move a byte:
+    # every kind run in this process writes what one fresh process writes
+    base = MINIMAL.replace("sigma_poly = [1.0]",
+                           "sigma_samples = [(0.0, 1.0), (0.5, 1.3), (1.0, 1.1)]")
+    argvs = {"warm": [], "fresh": []}
+    for kind, keys in FRESH_CONFIGS.items():
+        text = base.replace("kind = spectrum", f"kind = {kind}").replace("modes = 6", keys)
+        if kind in ("control", "simulate"):
+            text += "\n[initial]\ncoefficients = [(1, 1.0, 0.0), (2, 0.0, 1.0)]\n"
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(text)
+        for side in argvs:
+            argvs[side].append([kind, "--config", str(cfg), "--out", str(tmp_path / side / kind)])
+    for argv in argvs["warm"]:
+        assert main(argv) == EXIT_OK
+    src = str(Path(bischro.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = ("import json, sys; from bischro.cli import main; "
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argvs["fresh"])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+    def artifacts(side):
+        root = tmp_path / side
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    warm = artifacts("warm")
+    assert len(warm) == 12
+    assert artifacts("fresh") == warm
+
+
 def test_cli_export_matrices(tmp_path):
     # the exported lower triangles rebuild both bands bit for bit
     text = MINIMAL.replace("modes = 6", "modes = 6\nexport_matrices = true")
