@@ -23,7 +23,6 @@ tolerance meaningless already for the tenth root.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coefficients import WaveGeometry, geometry
 from .reports import ReportTable
@@ -46,6 +45,7 @@ def characteristic_roots(geo, count):
     sin 0.5 ~ 0.479 at both ends, sech <= 0.03), so plain bracketed root
     finding cannot miss or skip roots.
     """
+    from scipy.optimize import brentq
     if count < 1:
         raise ValueError("count must be >= 1")
     gamma = geo.optical_length

@@ -21,7 +21,7 @@ installed ``bischro`` script and ``python -m bischro.cli`` both call
        cannot be read or is not UTF-8, or an output file that cannot be
        written
     3  numerical failure (eigensolve breakdown, observability Gram
-       positivity lost)
+       positivity lost, a dense pencil that cannot be allocated)
     4  conditioning refusal (Gram condition above the cap)
 """
 
@@ -149,8 +149,7 @@ def _run_control(config, sd):
     sol = synthesize_moment_control(moments, sd, T, condition_cap=config.condition_cap)
     hum = synthesize_hum_control(state0, sd, T, len(moments), sigma_l,
                                  condition_cap=config.condition_cap)
-    diff = sol.waveform().weights - hum.waveform().weights
-    dn = ExponentialSum(sol.frequencies, diff).norm(T)
+    dn = ExponentialSum(sol.frequencies, sol.beta - hum.beta).norm(T)
     agreement = dn / sol.control_norm if sol.control_norm > 0 else 0.0
 
     ts = np.linspace(0.0, T, 2001)
@@ -268,7 +267,7 @@ def main(argv=None):
     except ConditioningError as exc:
         print(f"conditioning error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for line in lines:

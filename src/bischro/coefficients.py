@@ -32,7 +32,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 class ProfileError(ValueError):
@@ -80,6 +79,7 @@ def _coefficient(spec, name, length):
         raise ProfileError(
             f"samples cover [{xs[0]:g}, {xs[-1]:g}] but must cover [0, {length:g}]"
         )
+    from scipy.interpolate import PchipInterpolator
     return PchipInterpolator(xs, vs, extrapolate=True)
 
 
@@ -176,9 +176,6 @@ class WaveGeometry:
     _edges: np.ndarray = field(repr=False)
     _cumulative: np.ndarray = field(repr=False)
 
-    def integrand(self, x):
-        return _quarter_power(self.profile, x)
-
     def amplitude(self, x):
         p = self.profile
         return (p.rho(x) ** 0.75 * p.sigma(x) ** 0.25) ** -0.5
@@ -196,7 +193,7 @@ class WaveGeometry:
         gx, gw = _gauss_rule(DEFAULT_ORDER)
         span = xv - left
         pts = left[:, None] + span[:, None] * gx[None, :]
-        vals = self.integrand(pts)
+        vals = _quarter_power(self.profile, pts)
         partial = span * (vals @ gw)
         out = self._cumulative[idx] + partial
         return float(out[0]) if scalar else out

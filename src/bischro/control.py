@@ -79,18 +79,20 @@ def _steerable_traces(sd, n):
     return traces
 
 
-def _verified(sd, horizon, moments, beta, gs, method, state0, sigma_l):
+def _verified(state0, horizon, moments, beta, gs, method):
     """Package a control whose weights ``beta`` solve a system with the Gram ``gs``.
 
-    The norm is the waveform's ExponentialSum.norm, which reads the Gram
-    cached for these frequencies and this horizon instead of forming
-    another N x N phase integral.  The residual comes from the forward
-    solve, which forms its own phase integrals, so the verification
-    stays independent of the Gram the control was solved with.
+    The basis and sigma(ell) are those of ``state0``.  The norm is the
+    waveform's ExponentialSum.norm, which reads the Gram cached for these
+    frequencies and this horizon instead of forming another N x N phase
+    integral.  The residual comes from the forward solve, which forms its
+    own phase integrals, so the verification stays independent of the
+    Gram the control was solved with.
     """
+    sd = state0.basis
     f = ExponentialSum(sd.eigenvalues[: len(beta)], beta)
     norm = f.norm(horizon)
-    final = evolve_controlled(state0, sd, sigma_l, f, horizon)
+    final = evolve_controlled(state0, sd, sd.sigma_at_right_end(), f, horizon)
     n0 = sobolev_norm(state0, -0.5)
     nT = sobolev_norm(final, -0.5)
     residual = float(nT / n0) if n0 > 0 else 0.0
@@ -124,10 +126,8 @@ def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP)
     gs = gram(lam, horizon)
     _refuse_ill_conditioned(gs, condition_cap)
     beta = sla.solve(gs.matrix, moments, assume_a="her")
-    sigma_l = sd.sigma_at_right_end()
-    a0 = -1j * sigma_l * sd.traces[:N] * moments
-    state0 = modal_state(sd, a0)
-    return _verified(sd, horizon, moments, beta, gs, "moment", state0, sigma_l)
+    state0 = modal_state(sd, -1j * sd.sigma_at_right_end() * sd.traces[:N] * moments)
+    return _verified(state0, horizon, moments, beta, gs, "moment")
 
 
 @serial_blas
@@ -164,4 +164,4 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     beta = c * traces
     # rhs = i a(0), so the implied moments are rhs / (sigma t_n)
     moments = rhs / (sigma_l * traces)
-    return _verified(sd, horizon, moments, beta, gs, "hum", state0, sigma_l)
+    return _verified(state0, horizon, moments, beta, gs, "hum")

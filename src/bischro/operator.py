@@ -77,15 +77,6 @@ def band_to_dense(band):
     return out
 
 
-def band_submatrix(band, lo, hi):
-    """Principal submatrix rows/cols [lo, hi) of a symmetric band matrix."""
-    out = band[:, lo:hi].copy()
-    n = hi - lo
-    for i in range(1, band.shape[0]):
-        out[i, max(n - i, 0):] = 0.0
-    return out
-
-
 def band_matvec(band, x):
     """Symmetric banded matrix times vector; complex vectors split in parts."""
     k = band.shape[0] - 1
@@ -121,9 +112,15 @@ class DiscreteOperator:
         return np.linspace(0.0, self.profile.length, self.n_elements + 1)
 
     def constrained_bands(self):
-        lo, hi = 2, self.n_dof_full - 2
-        return (band_submatrix(self.kband, lo, hi),
-                band_submatrix(self.mband, lo, hi))
+        """Stiffness and mass bands on the constrained dofs [2, n_dof_full - 2).
+
+        Band entries that would couple past the last dof are zeroed.
+        """
+        bands = self.kband[:, 2:-2].copy(), self.mband[:, 2:-2].copy()
+        for band in bands:
+            for i in range(1, HALF_BANDWIDTH + 1):
+                band[i, self.n_dof - i:] = 0.0
+        return bands
 
     def expand(self, u):
         """Zero-pad a constrained dof vector to the full dof layout."""

@@ -66,8 +66,11 @@ class SpectralData:
         return len(self.eigenvalues)
 
     def mode_count(self, n):
-        """``n`` as an int, refused unless 1 <= n <= trusted_count."""
-        if not 1 <= int(n) <= self.trusted_count:
+        """``n`` as an int; a non-integer (bool included) is a TypeError, and
+        a count outside 1 <= n <= trusted_count a ValueError."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"mode count must be an integer, got {type(n).__name__}")
+        if not 1 <= n <= self.trusted_count:
             raise ValueError(f"mode count {n} must lie in [1, trusted_count={self.trusted_count}]")
         return int(n)
 
@@ -183,19 +186,15 @@ def solve_spectrum(op, count):
         raise NumericalError("mode Gram matrix lost positive definiteness") from exc
     vecs = sla.solve_triangular(chol.T, vecs.T, lower=True).T
 
+    floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _estimate_lambda_max(kb, mb, cb)
     traces = np.empty(count)
+    residuals = np.empty(count)
     for i in range(count):
         t = boundary_trace(op, vecs[:, i])
         if t < 0:
             vecs[:, i] = -vecs[:, i]
             t = -t
         traces[i] = t
-
-    lam_max = _estimate_lambda_max(kb, mb, cb)
-    eps = np.finfo(float).eps
-    floor = RESIDUAL_FLOOR_FACTOR * eps * lam_max
-    residuals = np.empty(count)
-    for i in range(count):
         r = band_matvec(kb, vecs[:, i]) - lams[i] * band_matvec(mb, vecs[:, i])
         rw = sla.cho_solve_banded((cb, True), r)
         residuals[i] = np.sqrt(abs(r @ rw))
@@ -221,7 +220,6 @@ def solve_spectrum(op, count):
 class ModeCheck:
     index: int
     eigenvalue: float
-    positive: bool
     rel_gap: float
     trace_abs: float
     ortho_residual: float
@@ -257,8 +255,7 @@ def validate_spectrum(sd):
     failures = []
     for i in range(n):
         flags = []
-        positive = lam[i] > 0
-        if not positive:
+        if not lam[i] > 0:
             flags.append("positivity")
         gaps = []
         if i > 0:
@@ -275,7 +272,7 @@ def validate_spectrum(sd):
         if ortho > ORTHO_TOL:
             flags.append("orthonormality")
         rows.append(ModeCheck(
-            index=i + 1, eigenvalue=float(lam[i]), positive=positive,
+            index=i + 1, eigenvalue=float(lam[i]),
             rel_gap=float(rel_gap), trace_abs=float(t_abs),
             ortho_residual=ortho, flags=tuple(flags),
         ))

@@ -175,6 +175,20 @@ def test_cli_module_runs_as_script(tmp_path):
     assert (out / "spectrum.csv").exists()
 
 
+def test_import_loads_no_optional_scipy_modules():
+    # scipy.interpolate and scipy.optimize load on first use, so importing
+    # the package and its CLI does not pay for them
+    src = str(Path(bischro.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, bischro, bischro.cli; "
+            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_config_not_utf8_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(MINIMAL.encode("ascii") + b"# caf\xe9\n")
@@ -300,6 +314,17 @@ def test_cli_polish_breakdown_exits_numerical(tmp_path, monkeypatch, capsys):
     out = tmp_path / "polish"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
     assert "mode 1 polish" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_dense_pencil_allocation_failure_exits_numerical(tmp_path, monkeypatch, capsys):
+    def unallocatable(band):
+        raise MemoryError(f"cannot allocate a {band.shape[1]}-square dense pencil")
+    monkeypatch.setattr(bischro.spectrum, "band_to_dense", unallocatable)
+    cfg = _write(tmp_path, MINIMAL)
+    out = tmp_path / "dense"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "numerical error: cannot allocate a 126-square dense pencil" in capsys.readouterr().err
     assert not out.exists()
 
 

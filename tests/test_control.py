@@ -65,6 +65,17 @@ def test_mode_count_outside_trusted_range_refused(sd_const_128):
                 call()
 
 
+@pytest.mark.parametrize("count", [np.float64(3.9), 3.5, True, "4"])
+def test_mode_count_must_be_an_integer(sd_const_128, count):
+    sd = sd_const_128
+    state = modal_state(sd, np.ones(4))
+    for call in (lambda: synthesize_hum_control(state, sd, 0.5, count, sd.sigma_at_right_end()),
+                 lambda: observability_constants(sd, 0.5, count)):
+        with pytest.raises(TypeError, match=r"^mode count must be an integer, got "):
+            call()
+    assert observability_constants(sd, 0.5, np.int64(3)).n_modes == 3
+
+
 def test_single_mode_moment_control_annihilates(sd_const_128):
     sd = sd_const_128
     sigma_l = 1.0
