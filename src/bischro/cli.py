@@ -91,8 +91,6 @@ def _export_matrices(op):
     files = {}
     for name, band in (("stiffness", op.kband), ("mass", op.mband)):
         d, col = np.nonzero(band)  # band[d, j] holds entry (j + d, j)
-        keep = col + d < band.shape[1]
-        d, col = d[keep], col[keep]
         order = np.lexsort((col, col + d))  # by row, then column
         rows = zip((col + d)[order].tolist(), col[order].tolist(), band[d, col][order].tolist())
         files[f"{name}.csv"] = _csv("matrix", ("row", "col", "value"), rows)
@@ -234,13 +232,11 @@ def main(argv=None):
         description="spectral analysis and boundary null control of the "
                     "clamped fourth-order dispersive equation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in _RUNNERS:
-        p = sub.add_parser(kind)
-        p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
+    parser.add_argument("command", choices=_RUNNERS)
+    parser.add_argument("--config", required=True, help="path to the config file")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:

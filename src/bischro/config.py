@@ -26,8 +26,10 @@ from .operator import constrained_dimension, trusted_count
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
 _COEFFICIENTS = ("rho", "sigma", "q")
-# everything before the first '#' that lies outside quotes
-_COMMENT = re.compile(r"""^((?:[^#'"]|'[^']*'|"[^"]*")*)#.*$""")
+# everything before the first '#' that lies outside quotes; a quote with no
+# closing partner is an ordinary character.  The lookaheads give each quote one
+# reading, so a line of quoted strings and no '#' is not backtracked through.
+_COMMENT = re.compile(r"""^((?:[^#'"]|'[^']*'|"[^"]*"|'(?![^']*')|"(?![^"]*"))*)#.*$""")
 
 
 class ConfigError(ValueError):

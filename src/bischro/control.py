@@ -9,7 +9,8 @@ arithmetic it returns the moment route's weights, so the gap between the
 routes measures rounding only.  Both routes read the one cached Gram of
 the most recent (frequencies, horizon) from dynamics.gram, as does
 ExponentialSum.norm, so a moment/HUM pair at one horizon forms and
-conditions one Gram.  moments_for_null and the HUM route refuse a
+conditions one Gram.  The HUM route steers exactly the modes of the
+state it is given.  moments_for_null and the HUM route refuse a
 steered mode whose trace lies below spectrum.TRACE_FLOOR.  The
 independent check is the forward solve: every control is verified by
 evolving the caller's state with the basis's own sigma(ell); the
@@ -18,7 +19,6 @@ reported residual is never inferred from the linear algebra.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,26 +140,21 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     exp(i lambda_k t), the boundary output of the free solution with
     datum sum c_k phi_k; Lambda = sigma(ell) t_m t_n G[m, n] is the
     boundary-output energy form.  A sigma_l other than
-    ``sd.sigma_at_right_end()``, a state of another basis, and a steered
-    mode whose trace lies below spectrum.TRACE_FLOOR are refused before
-    any Gram is formed; the control is verified by forward solve of the
-    original state, including any modes beyond the steered range.
+    ``sd.sigma_at_right_end()``, an ``n_modes`` other than the state's
+    coefficient count, a state of another basis, and a steered mode
+    whose trace lies below spectrum.TRACE_FLOOR are refused before any
+    Gram is formed; the control is verified by forward solve of the
+    original state.
     """
     _check_problem(state0, sd, sigma_l)
     N = sd.mode_count(n_modes)
+    if N != len(state0.coefficients):
+        raise ValueError(f"mode count {N} differs from the state's "
+                         f"{len(state0.coefficients)} coefficients")
     traces = _steerable_traces(sd, N)
     gs = gram(sd.eigenvalues[:N], horizon)
     _refuse_ill_conditioned(gs, condition_cap)
-    m = len(state0.coefficients)
-    if m > N and np.any(state0.coefficients[N:] != 0):
-        warnings.warn(
-            f"initial state has nonzero coefficients beyond mode {N}; "
-            "those modes are not steered",
-            stacklevel=2,
-        )
-    rhs = np.zeros(N, dtype=complex)
-    k = min(N, m)
-    rhs[:k] = 1j * state0.coefficients[:k]
+    rhs = 1j * state0.coefficients
     c = sla.cho_solve(sla.cho_factor(sigma_l * (np.outer(traces, traces) * gs.matrix)), rhs)
     beta = c * traces
     # rhs = i a(0), so the implied moments are rhs / (sigma t_n)

@@ -339,8 +339,7 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
         phases = phase_integral(-np.subtract.outer(lam, f.frequencies), horizon)
         moments = np.sum(phases * f.weights, axis=1)
     else:
-        ts, fs = f
-        ts = np.asarray(ts, dtype=float)
+        ts, fs, dt = _uniform_grid(*f)
         if abs(ts[0]) > 1e-12 * horizon or abs(ts[-1] - horizon) > 1e-9 * horizon:
             raise ValueError("tabulation must cover exactly [0, horizon]")
         lam_max = float(lam.max()) if len(lam) else 0.0
@@ -352,7 +351,6 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
                 f"{len(ts)} samples resolve the fastest mode below "
                 f"{SAMPLES_PER_PERIOD} per period; provide at least {required}"
             )
-        ts, fs, dt = _uniform_grid(ts, fs)
         moments = _filon_moments(ts, fs, dt, lam)
 
     coeff = np.exp(1j * lam * horizon) * (

@@ -60,7 +60,7 @@ def test_threads_pinned_inside_and_restored_across_nesting(blas, sd_const_128, r
     def recording(*args, **kwargs):
         seen.append(("enter", _counts(blas)))
         out = inner(*args, **kwargs)
-        # the inner scope has closed; the outer synthesize_* scope has not
+        # evolve_controlled pins nothing itself; the synthesize_* scope is still open
         seen.append(("exit", _counts(blas)))
         return out
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,18 @@ def test_comments_after_values_are_ignored():
 def test_quoted_output_keeps_hash():
     cfg = parse_config(MINIMAL.replace("modes = 6", "modes = 6\noutput = 'a#b'  # c"))
     assert cfg.output == "a#b"
+
+
+def test_lone_quote_is_an_ordinary_character():
+    cfg = parse_config(MINIMAL.replace("modes = 6", "modes = 6\noutput = don't  # note"))
+    assert cfg.output == "don't"
+    # quoted strings and no comment: each quote has one reading, so the scan
+    # does not backtrack through every way to pair them (seconds at 18 strings)
+    many = "[" + ", ".join(["'a'"] * 18) + "]"
+    start = time.perf_counter()
+    cfg = parse_config(MINIMAL.replace("modes = 6", f"modes = 6\noutput = {many}"))
+    assert cfg.output == many
+    assert time.perf_counter() - start < 1.0
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

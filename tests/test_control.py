@@ -266,6 +266,23 @@ def test_foreign_basis_refused_before_any_solve(sd_const_512, sd_var_512, monkey
         synthesize_hum_control(state, sd_var_512, 0.5, 12, sigma_l)
 
 
+def test_hum_mode_count_must_match_state(sd_const_128, monkeypatch):
+    # the dual route steers exactly the state it is given: a smaller count
+    # would leave modes of the state unsteered, a larger one would steer
+    # modes the state does not hold
+    sd = sd_const_128
+    state = modal_state(sd, np.ones(6))
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram formed for a mode count other than the state's")
+
+    monkeypatch.setattr(bischro.control, "gram", no_gram)
+    for N in (5, 7):
+        with pytest.raises(ValueError,
+                           match=rf"^mode count {N} differs from the state's 6 coefficients$"):
+            synthesize_hum_control(state, sd, 0.5, N, sd.sigma_at_right_end())
+
+
 def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_cache):
     sd = sd_const_512
     N, T = 12, 0.37

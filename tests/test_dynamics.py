@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -341,6 +342,20 @@ def test_tabulated_control_coarse_grid_refused(sd_const_512):
     required = int(str(err.value).rsplit("at least", 1)[1].strip())
     lam_max = sd.eigenvalues[11]
     assert required >= 20 * lam_max * T / (2 * np.pi)
+
+
+def test_tabulated_control_shape_checked_before_coverage(sd_const_128):
+    sd = sd_const_128
+    state = modal_state(sd, np.ones(2))
+    T = 0.5
+    cases = (
+        (np.array([]), np.array([]), "Filon-Simpson needs an odd number of samples >= 3"),
+        (np.array(0.0), np.array(1.0), "ts and fs must be equal-length 1-d arrays"),
+        (np.array([0.0, 0.25]), np.ones(3), "ts and fs must be equal-length 1-d arrays"),
+    )
+    for ts, fs, message in cases:
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            evolve_controlled(state, sd, 1.0, (ts, fs), T)
 
 
 def test_transposition_style_bound_sampled(sd_const_128, rng):
