@@ -144,9 +144,8 @@ def _run_control(config, sd):
     state0 = _initial_state(config, sd)
     sigma_l = sd.sigma_at_right_end()
     moments = moments_for_null(state0, sd, sigma_l)
-    sol = synthesize_moment_control(moments, sd, T, condition_cap=config.condition_cap)
-    hum = synthesize_hum_control(state0, sd, T, len(moments), sigma_l,
-                                 condition_cap=config.condition_cap)
+    sol = synthesize_moment_control(moments, sd, T)
+    hum = synthesize_hum_control(state0, sd, T, len(moments), sigma_l)
     dn = ExponentialSum(sol.frequencies, sol.beta - hum.beta).norm(T)
     agreement = dn / sol.control_norm if sol.control_norm > 0 else 0.0
 

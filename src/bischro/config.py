@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass
 
 from .asymptotics import MIN_REPORT_MODES
-from .control import CONDITION_CAP
 from .operator import constrained_dimension, trusted_count
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
@@ -49,7 +48,6 @@ class ExperimentConfig:
     output: str
     profile_spec: dict
     initial_coefficients: tuple
-    condition_cap: float
     export_matrices: bool
 
 
@@ -89,7 +87,6 @@ _KEYS = {
         "horizons": (_literal, lambda v: _items(v, lambda t: _real(t) and t > 0),
                      "must be a nonempty list of positive reals"),
         "output": (_word, lambda v: True, ""),
-        "condition_cap": _POSITIVE,
         "export_matrices": (_flag, lambda v: isinstance(v, bool), "must be true or false"),
     },
     "profile": {
@@ -229,6 +226,5 @@ def parse_config(text):
                       **{name: _coefficient(values, name) for name in _COEFFICIENTS}},
         initial_coefficients=tuple((n, float(re), float(im))
                                    for n, re, im in values.get("coefficients", ())),
-        condition_cap=float(values.get("condition_cap", CONDITION_CAP)),
         export_matrices=values.get("export_matrices", False),
     )

@@ -29,6 +29,7 @@ from .dynamics import (ExponentialSum, _check_problem, evolve_controlled, gram, 
                        sobolev_norm)
 from .spectrum import TRACE_FLOOR
 
+# a float64 policy, not a property of the problem: the Gram is invertible at every horizon
 CONDITION_CAP = 1e12
 
 
@@ -103,20 +104,20 @@ def _verified(state0, horizon, moments, beta, gs, method):
     )
 
 
-def _refuse_ill_conditioned(gs, condition_cap):
-    if not np.isfinite(gs.condition_estimate) or gs.condition_estimate > condition_cap:
+def _refuse_ill_conditioned(gs):
+    if not np.isfinite(gs.condition_estimate) or gs.condition_estimate > CONDITION_CAP:
         raise ConditioningError(
             f"Gram condition {gs.condition_estimate:.3e} exceeds cap "
-            f"{condition_cap:.3e}; increase the horizon or reduce the mode count"
+            f"{CONDITION_CAP:.3e}; increase the horizon or reduce the mode count"
         )
 
 
 @serial_blas
-def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP):
+def synthesize_moment_control(moments, sd, horizon):
     """Minimum-norm exponential-sum control meeting the given moments.
 
     Solves G beta = m with the exponential Gram on (0, horizon); refuses
-    when the Gram condition exceeds the cap instead of returning a
+    when the Gram condition exceeds CONDITION_CAP instead of returning a
     garbage control.  The returned residual comes from a forward solve of
     the initial state the moments encode.
     """
@@ -124,15 +125,14 @@ def synthesize_moment_control(moments, sd, horizon, condition_cap=CONDITION_CAP)
     N = sd.mode_count(len(moments))
     lam = sd.eigenvalues[:N]
     gs = gram(lam, horizon)
-    _refuse_ill_conditioned(gs, condition_cap)
+    _refuse_ill_conditioned(gs)
     beta = sla.solve(gs.matrix, moments, assume_a="her")
     state0 = modal_state(sd, -1j * sd.sigma_at_right_end() * sd.traces[:N] * moments)
     return _verified(state0, horizon, moments, beta, gs, "moment")
 
 
 @serial_blas
-def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
-                           condition_cap=CONDITION_CAP):
+def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l):
     """Null control through the coercive-operator route.
 
     Solves Lambda c = i a(0) by one Cholesky factorization of the
@@ -143,8 +143,8 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
     ``sd.sigma_at_right_end()``, an ``n_modes`` other than the state's
     coefficient count, a state of another basis, and a steered mode
     whose trace lies below spectrum.TRACE_FLOOR are refused before any
-    Gram is formed; the control is verified by forward solve of the
-    original state.
+    Gram is formed, and a Gram above CONDITION_CAP before it is factored;
+    the control is verified by forward solve of the original state.
     """
     _check_problem(state0, sd, sigma_l)
     N = sd.mode_count(n_modes)
@@ -153,7 +153,7 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l,
                          f"{len(state0.coefficients)} coefficients")
     traces = _steerable_traces(sd, N)
     gs = gram(sd.eigenvalues[:N], horizon)
-    _refuse_ill_conditioned(gs, condition_cap)
+    _refuse_ill_conditioned(gs)
     rhs = 1j * state0.coefficients
     c = sla.cho_solve(sla.cho_factor(sigma_l * (np.outer(traces, traces) * gs.matrix)), rhs)
     beta = c * traces

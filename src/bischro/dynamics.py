@@ -90,7 +90,7 @@ def project_initial(sd, y0, derivative=None):
     ``y0`` may be a callable on [0, ell] (optionally with its derivative),
     a ``(xs, values)`` sample pair, or a dof vector of the underlying
     mesh.  The returned state carries the relative M-norm residual of the
-    truncated reconstruction.
+    truncated reconstruction; non-finite data is refused.
     """
     op = sd.op
     if callable(y0):
@@ -116,6 +116,8 @@ def project_initial(sd, y0, derivative=None):
         dofs = op.interpolate(spl, lambda x: spl(x, 1))
     else:
         dofs = op.expand(np.asarray(y0))
+    if not np.isfinite(dofs).all():
+        raise ValueError("initial data must be finite")
 
     m = sd.trusted_count
     my = band_matvec(op.mband, dofs)
@@ -282,6 +284,8 @@ def _uniform_grid(ts, fs):
     fs = np.asarray(fs, dtype=complex)
     if ts.ndim != 1 or ts.shape != fs.shape:
         raise ValueError("ts and fs must be equal-length 1-d arrays")
+    if not np.isfinite(fs).all():
+        raise ValueError("tabulation must be finite")
     if len(ts) < 3 or len(ts) % 2 == 0:
         raise ValueError("Filon-Simpson needs an odd number of samples >= 3")
     dt = ts[1] - ts[0]
@@ -323,9 +327,9 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
     A sigma_l other than ``sd.sigma_at_right_end()`` or a state of another
     basis is refused.  ``f`` is an :class:`ExponentialSum` (moments
     integrate in closed form) or a ``(ts, fs)`` tabulation on a uniform
-    grid covering [0, horizon] (Filon-Simpson moments).  A tabulation
-    with fewer than SAMPLES_PER_PERIOD points per period of the fastest
-    retained mode is refused outright rather than silently dephased.
+    grid covering [0, horizon] (Filon-Simpson moments).  A non-finite
+    tabulation, or one with fewer than SAMPLES_PER_PERIOD points per period
+    of the fastest retained mode, is refused rather than silently dephased.
     """
     _check_problem(state0, sd, sigma_l)
     horizon = _positive_horizon(horizon)

@@ -55,6 +55,12 @@ def hermite_shapes(xi, h):
     return N, dN, d2N
 
 
+def _integer(n, what):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {type(n).__name__}")
+    return int(n)
+
+
 def constrained_dimension(elements):
     """Dofs left on an E-element mesh once the four clamped boundary dofs go."""
     return 2 * elements - 2
@@ -112,15 +118,9 @@ class DiscreteOperator:
         return np.linspace(0.0, self.profile.length, self.n_elements + 1)
 
     def constrained_bands(self):
-        """Stiffness and mass bands on the constrained dofs [2, n_dof_full - 2).
-
-        Band entries that would couple past the last dof are zeroed.
-        """
-        bands = self.kband[:, 2:-2].copy(), self.mband[:, 2:-2].copy()
-        for band in bands:
-            for i in range(1, HALF_BANDWIDTH + 1):
-                band[i, self.n_dof - i:] = 0.0
-        return bands
+        """Stiffness/mass band views on the constrained dofs [2, n_dof_full - 2); no caller
+        writes into them, and none reads their tails band[i, n_dof - i:] (outside the matrix)."""
+        return self.kband[:, 2:-2], self.mband[:, 2:-2]
 
     def expand(self, u):
         """Zero-pad a constrained dof vector to the full dof layout."""
@@ -187,9 +187,9 @@ def assemble(profile, elements):
     """
     if not isinstance(profile, CoefficientProfile):
         raise TypeError("assemble expects a CoefficientProfile")
-    if elements < MIN_ELEMENTS:
-        raise ValueError(f"need at least {MIN_ELEMENTS} elements, got {elements}")
-    E = int(elements)
+    E = _integer(elements, "element count")
+    if E < MIN_ELEMENTS:
+        raise ValueError(f"need at least {MIN_ELEMENTS} elements, got {E}")
     h = profile.length / E
     xi, wref = _gauss_rule(4)
     N, dN, d2N = hermite_shapes(xi, h)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .operator import (DiscreteOperator, band_matvec, band_to_dense, boundary_trace,
-                       trusted_count)
+from .operator import (DiscreteOperator, _integer, band_matvec, band_to_dense,
+                       boundary_trace, trusted_count)
 
 RESIDUAL_TOL = 1e-8
 # validate_spectrum flags: relative neighbor gap, right-end trace magnitude
@@ -68,11 +68,10 @@ class SpectralData:
     def mode_count(self, n):
         """``n`` as an int; a non-integer (bool included) is a TypeError, and
         a count outside 1 <= n <= trusted_count a ValueError."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"mode count must be an integer, got {type(n).__name__}")
+        n = _integer(n, "mode count")
         if not 1 <= n <= self.trusted_count:
             raise ValueError(f"mode count {n} must lie in [1, trusted_count={self.trusted_count}]")
-        return int(n)
+        return n
 
     def sigma_at_right_end(self):
         return self._sigma_at_right_end
@@ -142,8 +141,9 @@ def solve_spectrum(op, count):
     floating-point floor proportional to eps * lambda_max of the pencil:
     representing any vector in float64 already incurs a residual of that
     size, so demanding 1e-8 * lambda_n alone is unattainable for the low
-    modes on fine meshes.
+    modes on fine meshes.  A non-integer ``count`` is a TypeError.
     """
+    count = _integer(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > op.n_dof:
@@ -204,14 +204,13 @@ def solve_spectrum(op, count):
                 f"mode {i + 1} residual {residuals[i]:.3e} exceeds gate {gate:.3e}"
             )
 
-    trusted = int(trusted_count(op.n_elements, count))
     return SpectralData(
         eigenvalues=lams,
         wavenumbers=lams**0.25,
         modes=vecs,
         traces=traces,
         residuals=residuals,
-        trusted_count=trusted,
+        trusted_count=trusted_count(op.n_elements, count),
         op=op,
     )
 

@@ -54,11 +54,10 @@ def test_negative_elements_error_names_field_and_line():
 
 def test_comments_after_values_are_ignored():
     text = CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5]\n"
-                               "output = runs/ctl\n"
-                               "condition_cap = 1e10\nexport_matrices = true")
+                               "output = runs/ctl\nexport_matrices = true")
     commented = "\n".join(line + "  # note" if "=" in line else line
                            for line in text.splitlines())
-    assert commented.count("# note") == 12  # every key of the config
+    assert commented.count("# note") == 11  # every key of the config
     assert parse_config(commented) == parse_config(text)
 
 
@@ -373,9 +372,8 @@ coefficients = [(1, 1.0, 0.0), (2, 1.0, 0.0)]
 @pytest.mark.parametrize("old, new", [
     ("horizons = [0.5]", "horizons = [True]"),
     ("horizons = [0.5]", "horizons = [1e999]"),
-    ("horizons = [0.5]", "horizons = [0.5]\ncondition_cap = True"),
-    ("horizons = [0.5]", "horizons = [0.5]\ncondition_cap = 1e999"),
     ("length = 1.0", "length = True"),
+    ("length = 1.0", "length = 1e999"),
     ("rho_poly = [1.0]", "rho_poly = [True]"),
     ("rho_poly = [1.0]", "rho_poly = [1.0, -1e999]"),
     ("sigma_poly = [1.0]", "sigma_samples = [(0.0, 1.0), (True, 1.0)]"),
@@ -433,6 +431,16 @@ def test_cli_control_conditioning_refusal_by_horizon_bisection(tmp_path, capsys)
         T /= 4.0
     assert code == EXIT_CONDITIONING
     assert "condition" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_condition_cap_is_an_unknown_key(tmp_path, capsys):
+    # the Gram-condition cap is the fixed control.CONDITION_CAP
+    text = CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5]\ncondition_cap = 1e12")
+    lineno = text.splitlines().index("condition_cap = 1e12") + 1
+    out = tmp_path / "o"
+    assert main(["control", "--config", _write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    assert f"line {lineno}: unknown experiment key 'condition_cap'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,12 +8,14 @@ from bischro import (
     CoarseSamplingError,
     ExponentialSum,
     ResamplingError,
+    assemble,
     evolve_controlled,
     evolve_free,
     modal_state,
     phase_integral,
     project_initial,
     sobolev_norm,
+    solve_spectrum,
 )
 from bischro.dynamics import SAMPLES_PER_PERIOD, _filon_moments, _uniform_grid
 
@@ -108,6 +110,19 @@ def test_project_complex_data_splits_into_real_parts(sd_const_128):
 
     check(lambda f: project_initial(sd, (xs, f(xs))))
     check(lambda f: project_initial(sd, f))
+
+
+def test_project_refuses_nonfinite_data(sd_const_128):
+    # unchecked, a NaN datum gives NaN coefficients and a projection residual of 0.0
+    sd = sd_const_128
+    dofs = sd.modes[:, 0].copy()
+    dofs[7] = np.nan
+    cases = (lambda: project_initial(sd, lambda x: np.where(x > 0.5, np.nan, x),
+                                     lambda x: np.ones_like(x)),
+             lambda: project_initial(sd, dofs))
+    for project in cases:
+        with pytest.raises(ValueError, match="^initial data must be finite$"):
+            project()
 
 
 # ---- free evolution and norms --------------------------------------------
@@ -356,6 +371,18 @@ def test_tabulated_control_shape_checked_before_coverage(sd_const_128):
     for ts, fs, message in cases:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             evolve_controlled(state, sd, 1.0, (ts, fs), T)
+
+
+def test_tabulated_control_refuses_nonfinite_samples(const_profile):
+    # unchecked, one NaN sample turns every coefficient into NaN without a warning
+    sd = solve_spectrum(assemble(const_profile, 64), 2)
+    state = modal_state(sd, np.ones(2))
+    T = 0.1
+    ts = np.linspace(0, T, 2001)
+    fs = np.ones_like(ts)
+    fs[1000] = np.nan
+    with pytest.raises(ValueError, match="^tabulation must be finite$"):
+        evolve_controlled(state, sd, sd.sigma_at_right_end(), (ts, fs), T)
 
 
 def test_transposition_style_bound_sampled(sd_const_128, rng):

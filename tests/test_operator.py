@@ -149,3 +149,10 @@ def test_rayleigh_quotient_bounded_below_by_smallest_eigenvalue(sd_const_128):
 def test_rejects_too_few_elements():
     with pytest.raises(ValueError, match="at least"):
         assemble(constant_profile(), 4)
+
+
+@pytest.mark.parametrize("elements", [20.7, np.float64(64.0), True])
+def test_element_count_must_be_an_integer(elements):
+    # int() would silently build 20 elements from 20.7
+    with pytest.raises(TypeError, match="element count must be an integer"):
+        assemble(constant_profile(), elements)

@@ -99,6 +99,18 @@ def test_count_exceeding_dimension_rejected(const_profile):
         solve_spectrum(op, op.n_dof + 1)
 
 
+def test_count_must_be_an_integer_before_any_densify(const_profile, monkeypatch):
+    op = assemble(const_profile, 16)
+
+    def densify(band):
+        raise AssertionError("densified before the count was checked")
+
+    monkeypatch.setattr(bischro.spectrum, "band_to_dense", densify)
+    for count in (6.0, True):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            solve_spectrum(op, count)
+
+
 def test_random_rayleigh_quotients_bound_smallest_eigenvalue(sd_const_128, rng):
     sd = sd_const_128
     op = sd.op
