@@ -42,7 +42,6 @@ from .dynamics import (
     sobolev_norm,
 )
 from .observability import (
-    DensityEstimate,
     ObservabilityReport,
     beurling_density,
     boundary_output,

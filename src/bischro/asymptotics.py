@@ -11,8 +11,9 @@ pi / gamma, so consecutive spacings approach pi / gamma and consecutive
 eigenvalue gaps grow cubically.  This module computes the roots by
 Brent's method on sign-change brackets and compares a computed
 spectrum against the three laws (spacing, cubic gap, boundary-trace
-magnitude).  Each comparison takes the spectrum only and reads gamma and
-the trace limit from the geometry of the profile it was solved on.
+magnitude).  Each comparison takes the spectrum only, reads gamma and
+the trace limit from the geometry of the profile it was solved on, and
+returns a ``{column name: array}`` dict, the columns the CLI writes.
 
 The root residual is reported in the cosh-normalized form
 |cos(x)cosh(x) - 1| / cosh(x) = |cos(x) - sech(x)|: the raw combination
@@ -25,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .coefficients import WaveGeometry, geometry
-from .reports import ReportTable
 
 ROOT_RESIDUAL_TOL = 1e-10
 MIN_REPORT_MODES = 5  # trusted modes the gap and trace reports need
@@ -73,21 +73,19 @@ def index_offset(sd):
 
 
 def spacing_report(sd):
-    """Rows (n, mu_{n+1} - mu_n, spacing * gamma / pi); last column -> 1."""
+    """Columns n, delta_mu = mu_{n+1} - mu_n and spacing_ratio =
+    delta_mu * gamma / pi; the last column tends to 1."""
     if sd.trusted_count < 3:
         raise ValueError("spacing report needs trusted_count >= 3")
     gamma = geometry(sd.op.profile).optical_length
     m = sd.trusted_count
-    mu = sd.wavenumbers[:m]
-    rows = []
-    for n in range(m - 1):
-        d = mu[n + 1] - mu[n]
-        rows.append((n + 1, float(d), float(d * gamma / np.pi)))
-    return ReportTable("spacing", ("n", "delta_mu", "spacing_ratio"), rows)
+    d = np.diff(sd.wavenumbers[:m])
+    return {"n": np.arange(1, m), "delta_mu": d, "spacing_ratio": d * gamma / np.pi}
 
 
 def gap_report(sd):
-    """Rows (n, lambda_{n+1} - lambda_n, gap / cubic-law prediction).
+    """Columns n, delta_lambda = lambda_{n+1} - lambda_n and normalized_gap,
+    the gap over its cubic-law prediction.
 
     The prediction differences the fourth powers of the half-integer law
     at the pair's own mu-midpoint index m = (mu_n + mu_{n+1}) gamma / 2 pi,
@@ -99,15 +97,13 @@ def gap_report(sd):
         raise ValueError(f"gap report needs trusted_count >= {MIN_REPORT_MODES}")
     gamma = geometry(sd.op.profile).optical_length
     m = sd.trusted_count
-    lam = sd.eigenvalues[:m]
+    gap = np.diff(sd.eigenvalues[:m])
     mu = sd.wavenumbers[:m]
-    const = (np.pi / gamma) ** 4
-    rows = []
-    for n in range(m - 1):
-        gap = lam[n + 1] - lam[n]
-        mid = (mu[n] + mu[n + 1]) * gamma / (2.0 * np.pi)
-        rows.append((n + 1, float(gap), float(gap / (4.0 * mid**3 * const))))
-    return ReportTable("gap", ("n", "delta_lambda", "normalized_gap"), rows)
+    mid = (mu[:-1] + mu[1:]) * gamma / (2.0 * np.pi)
+    # scalar cubes: the array power takes a SIMD path whose last bit differs
+    cube = np.array([x**3 for x in mid])
+    return {"n": np.arange(1, m), "delta_lambda": gap,
+            "normalized_gap": gap / (4.0 * cube * (np.pi / gamma) ** 4)}
 
 
 def eigenfunction_asymptote(geo, n, x):
@@ -171,12 +167,11 @@ def trace_limit(geo):
 
 
 def trace_limit_report(sd):
-    """Rows (n, |t_n| / sqrt(lambda_n), ratio to the trace limit of sd's profile)."""
+    """Columns n, trace_over_sqrt_lambda = |t_n| / sqrt(lambda_n) and
+    limit_ratio, its ratio to the trace limit of sd's profile."""
     if sd.trusted_count < MIN_REPORT_MODES:
         raise ValueError(f"trace report needs trusted_count >= {MIN_REPORT_MODES}")
     limit = trace_limit(geometry(sd.op.profile))
-    rows = []
-    for n in range(sd.trusted_count):
-        val = abs(sd.traces[n]) / np.sqrt(sd.eigenvalues[n])
-        rows.append((n + 1, float(val), float(val / limit)))
-    return ReportTable("trace", ("n", "trace_over_sqrt_lambda", "limit_ratio"), rows)
+    m = sd.trusted_count
+    val = np.abs(sd.traces[:m]) / np.sqrt(sd.eigenvalues[:m])
+    return {"n": np.arange(1, m + 1), "trace_over_sqrt_lambda": val, "limit_ratio": val / limit}

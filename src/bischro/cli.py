@@ -2,8 +2,10 @@
 
 Five subcommands (spectrum, asymptotics, observability, control,
 simulate) share one config format; the subcommand must match the
-config's ``kind``.  Every output file starts with a ``# schema:`` line
-and a header row, floats are printed with 17 significant digits, and no
+config's ``kind``.  Every CSV file is rendered from a ``{column name:
+values}`` dict, the form every report takes, and starts with a
+``# schema:`` line and a header row; floats are printed with 17
+significant digits, integers without a decimal point, and no
 timestamps enter the files, so identical configs run at the same BLAS
 thread count produce byte-identical artifacts (the threaded dense
 eigensolve moves the last bits of the spectrum with the thread count).
@@ -61,9 +63,10 @@ def _fmt(value):
     return f"{float(value):.17g}"
 
 
-def _csv(schema_name, columns, rows):
-    lines = [f"# schema: {schema_name}-{SCHEMA_VERSION}", ",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+def _csv(schema_name, table):
+    """Render a ``{column name: values}`` dict; columns of unequal length raise."""
+    lines = [f"# schema: {schema_name}-{SCHEMA_VERSION}", ",".join(table)]
+    lines += [",".join(map(_fmt, row)) for row in zip(*table.values(), strict=True)]
     return "\n".join(lines) + "\n"
 
 
@@ -92,17 +95,16 @@ def _export_matrices(op):
     for name, band in (("stiffness", op.kband), ("mass", op.mband)):
         d, col = np.nonzero(band)  # band[d, j] holds entry (j + d, j)
         order = np.lexsort((col, col + d))  # by row, then column
-        rows = zip((col + d)[order].tolist(), col[order].tolist(), band[d, col][order].tolist())
-        files[f"{name}.csv"] = _csv("matrix", ("row", "col", "value"), rows)
+        files[f"{name}.csv"] = _csv("matrix", {"row": (col + d)[order], "col": col[order],
+                                               "value": band[d, col][order]})
     return files
 
 
 def _run_spectrum(config, sd):
-    rows = [
-        (n + 1, sd.eigenvalues[n], sd.wavenumbers[n], sd.traces[n], sd.residuals[n])
-        for n in range(sd.count)
-    ]
-    files = {"spectrum.csv": _csv("spectrum", ("n", "lambda", "mu", "trace", "residual"), rows)}
+    files = {"spectrum.csv": _csv("spectrum", {
+        "n": np.arange(1, sd.count + 1), "lambda": sd.eigenvalues, "mu": sd.wavenumbers,
+        "trace": sd.traces, "residual": sd.residuals,
+    })}
     check = validate_spectrum(sd)
     if config.export_matrices:
         files.update(_export_matrices(sd.op))
@@ -112,20 +114,14 @@ def _run_spectrum(config, sd):
 
 
 def _run_asymptotics(config, sd):
-    files = {
-        fname: _csv(table.name, table.columns, table.rows)
-        for table, fname in (
-            (spacing_report(sd), "spacing.csv"),
-            (gap_report(sd), "gap.csv"),
-            (trace_limit_report(sd), "trace.csv"),
-        )
-    }
+    files = {f"{name}.csv": _csv(name, report(sd)) for name, report in (
+        ("spacing", spacing_report), ("gap", gap_report), ("trace", trace_limit_report))}
     return files, {"optical_length": geometry(sd.op.profile).optical_length,
                    "trusted": sd.trusted_count, "index_offset": index_offset(sd)}
 
 
 def _run_observability(config, sd):
-    rows = []
+    reps = []
     for T in config.horizons:
         rep = observability_constants(sd, T, sd.trusted_count)
         if rep.resolution_failure:
@@ -133,10 +129,12 @@ def _run_observability(config, sd):
                 f"Gram eigensolve lost positivity at T={rep.horizon:g}; "
                 "raise the horizon or lower the mode count"
             )
-        rows.append((rep.horizon, rep.n_modes, rep.c_lower, rep.c_upper,
-                     rep.gram_condition, rep.density))
-    columns = ("T", "N", "c_T", "C_T", "condition", "density_estimate")
-    return {"observability.csv": _csv("observability", columns, rows)}, {"cells": len(rows)}
+        reps.append(rep)
+    table = {"T": [r.horizon for r in reps], "N": [r.n_modes for r in reps],
+             "c_T": [r.c_lower for r in reps], "C_T": [r.c_upper for r in reps],
+             "condition": [r.gram_condition for r in reps],
+             "density_estimate": [r.density for r in reps]}
+    return {"observability.csv": _csv("observability", table)}, {"cells": len(reps)}
 
 
 def _run_control(config, sd):
@@ -163,8 +161,7 @@ def _run_control(config, sd):
             "hum_method": hum.method,
             "hum_agreement_l2": agreement,
         }),
-        "control.csv": _csv("control-waveform", ("t", "re_f", "im_f"),
-                            [(t, v.real, v.imag) for t, v in zip(ts, fv)]),
+        "control.csv": _csv("control-waveform", {"t": ts, "re_f": fv.real, "im_f": fv.imag}),
     }
     return files, {"residual_final": sol.residual_final, "hum_agreement_l2": agreement,
                    "control_norm": sol.control_norm}
@@ -174,9 +171,9 @@ def _run_simulate(config, sd):
     state0 = _initial_state(config, sd)
     files = {}
     for k, T in enumerate(config.horizons):
-        state = evolve_free(state0, T)
-        rows = [(n + 1, c.real, c.imag) for n, c in enumerate(state.coefficients)]
-        files[f"state_{k:03d}.csv"] = _csv("state", ("n", "re_c", "im_c"), rows)
+        c = evolve_free(state0, T).coefficients
+        files[f"state_{k:03d}.csv"] = _csv("state", {"n": np.arange(1, len(c) + 1),
+                                                     "re_c": c.real, "im_c": c.imag})
     return files, {"snapshots": len(config.horizons)}
 
 

@@ -70,8 +70,12 @@ class ModalState:
 
 
 def modal_state(sd, coefficients):
-    """State with the given coefficients against the modes of ``sd``."""
-    return ModalState(coefficients=np.asarray(coefficients, dtype=complex).copy(), basis=sd)
+    """State with the given coefficients against the modes of ``sd``;
+    non-finite coefficients are refused."""
+    coefficients = np.asarray(coefficients, dtype=complex).copy()
+    if not np.isfinite(coefficients).all():
+        raise ValueError("coefficients must be finite")
+    return ModalState(coefficients=coefficients, basis=sd)
 
 
 def _check_problem(state, sd, sigma_l):
@@ -152,7 +156,8 @@ def sobolev_norm(state, theta):
 
 @dataclass(frozen=True)
 class ExponentialSum:
-    """Finite sum f(t) = sum_k w_k exp(i omega_k t)."""
+    """Finite sum f(t) = sum_k w_k exp(i omega_k t); non-finite frequencies
+    or weights are refused."""
 
     frequencies: np.ndarray
     weights: np.ndarray
@@ -162,6 +167,8 @@ class ExponentialSum:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
         if self.frequencies.ndim != 1 or self.frequencies.shape != self.weights.shape:
             raise ValueError("frequencies and weights must be 1-d arrays of one length")
+        if not (np.isfinite(self.frequencies).all() and np.isfinite(self.weights).all()):
+            raise ValueError("frequencies and weights must be finite")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

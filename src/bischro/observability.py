@@ -11,9 +11,10 @@ The Gram itself, with its condition, is built and cached in one place,
 dynamics.gram, which the control solves and ExponentialSum.norm read
 too; the trace weighting is formed where it is used.
 
-Also hosts the Beurling upper-density window estimator; for this
-operator the eigenvalue gaps grow cubically, so the estimate decays
-toward zero with the window length.
+Also hosts the Beurling upper-density window estimator, which returns
+its window lengths and estimates as a ``{column name: array}`` dict like
+the asymptotics reports; for this operator the eigenvalue gaps grow
+cubically, so the estimate decays toward zero with the window length.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import scipy.linalg as sla
 
 from ._blas import serial_blas
 from .dynamics import ExponentialSum, gram
-from .reports import ReportTable
 
 
 def boundary_output(state, t):
@@ -69,7 +69,7 @@ def observability_constants(sd, horizon, n_modes):
     B = np.outer(tr, tr) * gs.matrix * np.outer(scale, scale)
     w = sla.eigvalsh(B)
     c_lo, c_hi = float(w[0]), float(w[-1])
-    density = beurling_density(lam).estimate if N >= 2 else 0.0
+    density = float(beurling_density(lam)["estimate"][-1]) if N >= 2 else 0.0
     return ObservabilityReport(
         horizon=float(horizon), n_modes=N, c_lower=c_lo, c_upper=c_hi,
         gram_condition=gs.condition_estimate, density=density,
@@ -77,33 +77,32 @@ def observability_constants(sd, horizon, n_modes):
     )
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    table: ReportTable
-    estimate: float
-
-
 def beurling_density(sequence, r_grid=None):
     """Window-count upper-density estimate of an increasing sequence.
 
-    For each window length r the estimate is the maximum number of
-    sequence points in any interval of length r, divided by r; the
-    sliding maximum is attained with the window's left edge on a point.
-    The attached scalar is the estimate at the largest window.
+    Returns the columns ``window`` (the lengths r, by default 0.05 to 1
+    times the span x_N - x_1) and ``estimate``: the maximum number of
+    points in any interval of length r, divided by r.  The sliding
+    maximum is attained with the window's left edge on a point x_i, and
+    x_j counts when the float64 offset x_j - x_i is at most r, the
+    subtraction that defines the span, so the full-span window holds all
+    N points.  Non-finite points or windows are a ValueError.
     """
     seq = np.asarray(sequence, dtype=float)
     if seq.ndim != 1 or len(seq) < 2:
         raise ValueError("sequence must contain at least two points")
+    if not np.isfinite(seq).all():
+        raise ValueError("sequence must be finite")
     if np.any(np.diff(seq) <= 0):
         raise ValueError("sequence must be strictly increasing")
     if r_grid is None:
-        span = seq[-1] - seq[0]
-        r_grid = span * np.array([0.05, 0.1, 0.25, 0.5, 1.0])
-    rows = []
-    for r in np.asarray(r_grid, dtype=float):
-        if r <= 0:
-            raise ValueError("window lengths must be positive")
-        counts = np.searchsorted(seq, seq + r, side="right") - np.arange(len(seq))
-        rows.append((float(r), float(counts.max() / r)))
-    table = ReportTable("density", ("window", "estimate"), rows)
-    return DensityEstimate(table=table, estimate=rows[-1][1])
+        r_grid = (seq[-1] - seq[0]) * np.array([0.05, 0.1, 0.25, 0.5, 1.0])
+    r = np.asarray(r_grid, dtype=float)
+    if r.ndim != 1 or not np.isfinite(r).all():
+        raise ValueError("window lengths must be a 1-d array of finite numbers")
+    if np.any(r <= 0):
+        raise ValueError("window lengths must be positive")
+    # row i of the offsets x_j - x_i ascends and holds i negative entries
+    offsets = seq - seq[:, None]
+    counts = np.count_nonzero(offsets <= r[:, None, None], axis=2) - np.arange(len(seq))
+    return {"window": r, "estimate": counts.max(axis=1) / r}

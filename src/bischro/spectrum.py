@@ -12,6 +12,8 @@ NumericalError rather than pass on an unpolished pair.
 Eigenvectors are M-orthonormal with signs fixed so the right-end
 curvature trace of every mode is positive (the traces never vanish for
 this operator, which is what makes every mode visible from the boundary).
+validate_spectrum checks those facts per mode and returns them as
+columns plus a list of failures.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ ORTHO_TOL = 1e-10
 # Multiplier on eps * lambda_max for the float64-attainable part of the
 # residual gate; see solve_spectrum.
 RESIDUAL_FLOOR_FACTOR = 256.0
+# Shifted inverse-iteration sweeps per polished pair, and power
+# iterations of the lambda_max estimate behind the residual floor.
+POLISH_SWEEPS = 2
+POWER_ITERATIONS = 50
 
 
 class NumericalError(RuntimeError):
@@ -95,10 +101,10 @@ def _band_to_lu_form(band):
     return ab
 
 
-def _polish_pair(kb, mb, lam, vec, mode, sweeps=2):
+def _polish_pair(kb, mb, lam, vec, mode):
     """Shifted inverse iteration plus Rayleigh quotient on the banded pencil."""
     k = kb.shape[0] - 1
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         ab = _band_to_lu_form(kb - lam * mb)
         rhs = band_matvec(mb, vec)
         try:
@@ -114,7 +120,7 @@ def _polish_pair(kb, mb, lam, vec, mode, sweeps=2):
     return lam, vec
 
 
-def _estimate_lambda_max(kb, mb, cb, iterations=50):
+def _estimate_lambda_max(kb, mb, cb):
     """Deterministic power iteration on M^{-1} K for a residual floor.
 
     ``cb`` is the lower banded Cholesky factor of ``mb``.
@@ -123,7 +129,7 @@ def _estimate_lambda_max(kb, mb, cb, iterations=50):
     x = np.ones(n)
     x[::2] = -1.0
     x /= np.linalg.norm(x)
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         y = band_matvec(kb, x)
         x = sla.cho_solve_banded((cb, True), y)
         nrm = np.linalg.norm(x)
@@ -216,20 +222,17 @@ def solve_spectrum(op, count):
 
 
 @dataclass(frozen=True)
-class ModeCheck:
-    index: int
-    eigenvalue: float
-    rel_gap: float
-    trace_abs: float
-    ortho_residual: float
-    flags: tuple
-
-
-@dataclass(frozen=True)
 class SpectrumValidation:
-    rows: list
+    """``table`` holds the columns index, eigenvalue, rel_gap, trace_abs
+    and ortho_residual of the checked modes; ``failures`` one
+    ``"mode n: check"`` entry per failed check."""
+
+    table: dict
     failures: list
-    passed: bool
+
+    @property
+    def passed(self):
+        return not self.failures
 
 
 def validate_spectrum(sd):
@@ -250,30 +253,21 @@ def validate_spectrum(sd):
     mv = np.column_stack([band_matvec(mb, sd.modes[:, j]) for j in range(sd.count)])
     gram_dev = np.abs(sd.modes.T @ mv - np.eye(sd.count))
 
-    rows = []
-    failures = []
-    for i in range(n):
-        flags = []
-        if not lam[i] > 0:
-            flags.append("positivity")
-        gaps = []
-        if i > 0:
-            gaps.append((lam[i] - lam[i - 1]) / lam[i])
-        if i + 1 < sd.count:
-            gaps.append((lam[i + 1] - lam[i]) / lam[i + 1])
-        rel_gap = min(gaps) if gaps else np.inf
-        if rel_gap < GAP_TOL:
-            flags.append("simplicity")
-        t_abs = abs(sd.traces[i])
-        if t_abs < TRACE_FLOOR:
-            flags.append("trace")
-        ortho = float(gram_dev[i].max())
-        if ortho > ORTHO_TOL:
-            flags.append("orthonormality")
-        rows.append(ModeCheck(
-            index=i + 1, eigenvalue=float(lam[i]),
-            rel_gap=float(rel_gap), trace_abs=float(t_abs),
-            ortho_residual=ortho, flags=tuple(flags),
-        ))
-        failures.extend(f"mode {i + 1}: {f}" for f in flags)
-    return SpectrumValidation(rows=rows, failures=failures, passed=not failures)
+    # each neighbor pair's gap over its upper eigenvalue, padded with inf at both ends
+    gaps = np.concatenate(([np.inf], np.diff(lam) / lam[1:], [np.inf]))
+    table = {
+        "index": np.arange(1, n + 1),
+        "eigenvalue": lam[:n],
+        "rel_gap": np.minimum(gaps[:-1], gaps[1:])[:n],
+        "trace_abs": np.abs(sd.traces[:n]),
+        "ortho_residual": gram_dev[:n].max(axis=1),
+    }
+    flags = {
+        "positivity": ~(table["eigenvalue"] > 0),
+        "simplicity": table["rel_gap"] < GAP_TOL,
+        "trace": table["trace_abs"] < TRACE_FLOOR,
+        "orthonormality": table["ortho_residual"] > ORTHO_TOL,
+    }
+    failures = [f"mode {i + 1}: {name}" for i in range(n)
+                for name, bad in flags.items() if bad[i]]
+    return SpectrumValidation(table=table, failures=failures)

@@ -74,8 +74,8 @@ def test_raw_residual_is_uncomputable_for_large_roots(const_geometry):
 
 def test_spacing_report_constant(sd_const_512):
     table = spacing_report(sd_const_512)
-    ratio = table.column("spacing_ratio")
-    assert len(table) == sd_const_512.trusted_count - 1
+    ratio = table["spacing_ratio"]
+    assert len(table["n"]) == sd_const_512.trusted_count - 1
     # compare against the oracle-root spacings at matching indices
     oracle = beam_roots(sd_const_512.trusted_count)
     for n in range(3, len(ratio)):
@@ -89,18 +89,18 @@ def test_spacing_doubles_when_density_drops(const_profile):
     light = constant_profile(rho=1.0 / 16.0)
     sd_a = solve_spectrum(assemble(const_profile, 96), 8)
     sd_b = solve_spectrum(assemble(light, 96), 8)
-    sp_a = spacing_report(sd_a).column("delta_mu")
-    sp_b = spacing_report(sd_b).column("delta_mu")
+    sp_a = spacing_report(sd_a)["delta_mu"]
+    sp_b = spacing_report(sd_b)["delta_mu"]
     assert sp_b == pytest.approx(2.0 * sp_a, rel=1e-9)
     # and the dimensionless ratio column is unchanged
-    ra = spacing_report(sd_a).column("spacing_ratio")
-    rb = spacing_report(sd_b).column("spacing_ratio")
+    ra = spacing_report(sd_a)["spacing_ratio"]
+    rb = spacing_report(sd_b)["spacing_ratio"]
     assert rb == pytest.approx(ra, rel=1e-9)
 
 
 def test_variable_profile_spacing_settles(sd_var_2048):
     table = spacing_report(sd_var_2048)
-    ratio = table.column("spacing_ratio")
+    ratio = table["spacing_ratio"]
     assert np.all(np.abs(ratio[14:24] - 1) < 0.01)
 
 
@@ -111,18 +111,18 @@ def test_gap_report_oracle_roots(sd_const_128, const_geometry):
     mus = characteristic_roots(const_geometry, 30)
     sd = synthetic_spectrum(sd_const_128, mus)
     table = gap_report(sd)
-    normed = table.column("normalized_gap")
-    n = table.column("n")
+    normed = table["normalized_gap"]
+    n = table["n"]
     assert abs(normed[n == 20][0] - 1) < 0.002
     assert np.all(np.abs(normed[4:] - 1) < 0.05)
     # small-n rows are present as diagnostics but not law-quality
     assert n[0] == 1
-    assert np.all(table.column("delta_lambda") > 0)
+    assert np.all(table["delta_lambda"] > 0)
 
 
 def test_gap_positivity_computed(sd_const_512):
     table = gap_report(sd_const_512)
-    assert np.all(table.column("delta_lambda") > 0)
+    assert np.all(table["delta_lambda"] > 0)
 
 
 def test_index_offset_is_one(sd_const_512):
@@ -177,7 +177,7 @@ def test_asymptote_no_overflow_at_high_index(const_geometry):
 def test_trace_limit_constant_profile(sd_const_512, const_geometry):
     assert trace_limit(const_geometry) == pytest.approx(2.0, rel=1e-12)
     table = trace_limit_report(sd_const_512)
-    ratio = table.column("limit_ratio")
+    ratio = table["limit_ratio"]
     assert np.all(np.abs(ratio[9:14] - 1) < 0.04)
 
 
@@ -195,7 +195,7 @@ def test_trace_ratio_column_scale_invariant(const_profile):
     sd_b = solve_spectrum(assemble(heavy, 96), 9)
     ta = trace_limit_report(sd_a)
     tb = trace_limit_report(sd_b)
-    assert tb.column("limit_ratio") == pytest.approx(ta.column("limit_ratio"), rel=1e-9)
+    assert tb["limit_ratio"] == pytest.approx(ta["limit_ratio"], rel=1e-9)
 
 
 def test_reports_demand_enough_trusted_modes(sd_const_512):

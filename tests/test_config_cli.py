@@ -550,3 +550,33 @@ def test_cli_export_matrices(tmp_path):
         for (r, c), (_, _, v) in zip(keys, entries):
             rebuilt[r - c, c] = float(v)
         assert np.array_equal(rebuilt, band)
+
+
+def test_csv_renders_columns_exactly():
+    table = {"n": [1, 2], "k": np.array([3, -4]), "x": np.array([0.1, 1.0 / 3.0])}
+    assert bischro.cli._csv("demo", table) == (
+        "# schema: demo-v1\n"
+        "n,k,x\n"
+        "1,3,0.10000000000000001\n"
+        "2,-4,0.33333333333333331\n"
+    )
+
+
+def test_csv_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        bischro.cli._csv("demo", {"n": np.arange(3), "x": np.zeros(2)})
+
+
+def test_artifact_digest_covers_every_kind(tmp_path):
+    from bischro.config import KINDS
+
+    from .artifact_digest import digest
+    sums = digest(tmp_path, [(kind, "sampled", 64) for kind in KINDS])
+    names = [line.split("  ", 1)[1] for line in sums.splitlines()]
+    assert {name.split("-")[0] for name in names} == set(KINDS)
+    assert (tmp_path / "SHA256SUMS").read_text() == sums
+    for kind in KINDS:
+        record = (tmp_path / f"{kind}-sampled-64" / "stdout.txt").read_text()
+        assert record.startswith(f"exit: 0\nkind: {kind}\n")
+        assert str(tmp_path) not in record
+        assert f"{kind}-sampled-64/out/" in "\n".join(names)

@@ -182,6 +182,13 @@ def test_modal_state_rejects_untrusted_length(sd_const_128):
         modal_state(sd_const_128, np.ones(sd_const_128.trusted_count + 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_modal_state_refuses_nonfinite_coefficients(sd_const_128, bad):
+    # unchecked, the state evolves and measures as NaN with no error
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        modal_state(sd_const_128, [bad, 1.0])
+
+
 # ---- phase integrals and Filon quadrature ---------------------------------
 
 def test_phase_integral_against_quadrature():
@@ -261,6 +268,16 @@ def test_filon_requires_odd_uniform_grid():
 def test_exponential_sum_refuses_non_vector_data(frequencies, weights):
     # such a sum used to construct, then fail inside its call or its norm
     with pytest.raises(ValueError, match="1-d arrays"):
+        ExponentialSum(frequencies, weights)
+
+
+@pytest.mark.parametrize("frequencies, weights", [
+    ([1.0, np.nan], [1.0, 1.0]), ([1.0, np.inf], [1.0, 1.0]),
+    ([1.0, 2.0], [1.0, np.nan]), ([1.0, 2.0], [complex(np.inf, 0.0), 1.0]),
+])
+def test_exponential_sum_refuses_nonfinite_data(frequencies, weights):
+    # unchecked, the sum evaluates to NaN and its norm warns at most
+    with pytest.raises(ValueError, match="^frequencies and weights must be finite$"):
         ExponentialSum(frequencies, weights)
 
 

@@ -226,27 +226,43 @@ def test_beurling_arithmetic_sequence():
     delta = 0.25
     seq = delta * np.arange(1, 401)
     est = beurling_density(seq, r_grid=[1.0, 10.0, 50.0])
-    values = est.table.column("estimate")
+    assert list(est["window"]) == [1.0, 10.0, 50.0]
     # (floor(r/delta) + 1)/r -> 1/delta from above
-    assert values[-1] == pytest.approx(1 / delta, rel=0.01)
-    assert est.estimate == values[-1]
+    assert est["estimate"][-1] == pytest.approx(1 / delta, rel=0.01)
 
 
 def test_beurling_oracle_eigenvalues_decay(const_geometry):
     mus = characteristic_roots(const_geometry, 200)
     lams = mus**4
     r = lams[-1] / 10
-    est = beurling_density(lams, r_grid=[r])
-    assert est.estimate <= 0.05
+    assert beurling_density(lams, r_grid=[r])["estimate"][-1] <= 0.05
     grid = lams[-1] * np.array([0.01, 0.03, 0.1, 0.3, 1.0])
-    est2 = beurling_density(lams, r_grid=grid)
-    vals = est2.table.column("estimate")
+    vals = beurling_density(lams, r_grid=grid)["estimate"]
     assert np.all(np.diff(vals) < 0)
+
+
+def test_beurling_full_span_window_holds_every_point():
+    # x_1 + fl(x_2 - x_1) rounds below x_2, so a window placed by adding
+    # the span to its left edge missed the last point and read 1 / span
+    seq = [787.1705787544212, 2041.836195008446]
+    est = beurling_density(seq)
+    assert est["window"][-1] == seq[1] - seq[0]
+    assert est["estimate"][-1] == 2 / (seq[1] - seq[0])
+
+
+@pytest.mark.parametrize("sequence, r_grid", [
+    ([0.0, 1.0, np.inf], None), ([0.0, np.nan, 1.0], None),
+    ([0.0, 1.0, 2.0], [np.nan]), ([0.0, 1.0, 2.0], [1.0, np.inf]),
+])
+def test_beurling_refuses_nonfinite_input(sequence, r_grid):
+    # unchecked, these read 0.0, 2.0, nan and 0.0 without an error
+    with pytest.raises(ValueError, match="finite"):
+        beurling_density(sequence, r_grid)
 
 
 def test_beurling_nonincreasing_beyond_span(rng):
     seq = np.sort(rng.uniform(0, 10, 64))
     span = seq[-1] - seq[0]
     grid = span * np.array([1.0, 1.5, 2.5, 4.0])
-    vals = beurling_density(seq, r_grid=grid).table.column("estimate")
+    vals = beurling_density(seq, r_grid=grid)["estimate"]
     assert np.all(np.diff(vals) <= 0)
