@@ -3,11 +3,11 @@
 The Gram, observability and control layers work on complex matrices
 of order N <= ~200.  There a threaded OpenBLAS wakes its worker
 threads on every zpotrf/zheevr/zgemv call and loses more than the second
-thread gains (a moment+HUM control pair at N = 102: 16-28 ms at two
-threads, 12-17 ms at one, on a 2-core machine).  The dense eigensolve
-does gain from threads, so the count is pinned to one only for the
-duration of a call and the count in effect on entry is restored
-afterwards.
+thread gains (a moment+HUM control pair at N = 102 with cold caches:
+about 16 ms at two threads, 2.8-4.2 ms at one, on a 2-core machine).
+The dense eigensolve does gain from threads, so the count is pinned to
+one only for the duration of a call and the count in effect on entry
+is restored afterwards.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ state it is given.  moments_for_null and the HUM route refuse a
 steered mode whose trace lies below spectrum.TRACE_FLOOR.  The
 independent check is the forward solve: every control is verified by
 evolving the caller's state with the basis's own sigma(ell); the
-reported residual is never inferred from the linear algebra.
+reported residual is never inferred from the linear algebra.  The
+forward solve evaluates its own phase table, separate from the Gram,
+once per (frequencies, horizon), so the two checks of a pair share it.
 """
 
 from __future__ import annotations
@@ -86,9 +88,10 @@ def _verified(state0, horizon, moments, beta, gs, method):
     The basis and sigma(ell) are those of ``state0``.  The norm is the
     waveform's ExponentialSum.norm, which reads the Gram cached for these
     frequencies and this horizon instead of forming another N x N phase
-    integral.  The residual comes from the forward solve, which forms its
-    own phase integrals, so the verification stays independent of the
-    Gram the control was solved with.
+    integral.  The residual comes from the forward solve, which evaluates
+    its own phase table (shared with the other check of the pair, never
+    the Gram entry), so the verification stays independent of the Gram
+    the control was solved with.
     """
     sd = state0.basis
     f = ExponentialSum(sd.eigenvalues[: len(beta)], beta)

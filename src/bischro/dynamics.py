@@ -19,6 +19,11 @@ vectorized kernel computes all their moments.
 
 The one cached exponential Gram (:func:`gram`) lives here too; the
 observability and control solves and ExponentialSum.norm all read it.
+The forward solve keeps its own cached phase table, so a control is
+never verified with the Gram it was solved with.  A table of a frequency
+set against itself is an inner-product Gram, Hermitian to the last bit,
+so the Gram, and the forward table of a waveform on the state's own
+frequencies, evaluate only the strict upper triangle and mirror the rest.
 """
 
 from __future__ import annotations
@@ -240,13 +245,53 @@ def _gram(key, T):
     """Unchecked GramSystem of frombuffer(key) on (0, T).  One entry serves
     consecutive calls at one (lambda, T): a moment/HUM pair, their norms,
     an observability cell."""
-    lam = np.frombuffer(key)
-    delta = np.subtract.outer(lam, lam)      # delta[m, n] = lam_m - lam_n
-    G = np.asarray(phase_integral(-delta, T))
-    np.fill_diagonal(G, T)
-    G = 0.5 * (G + G.conj().T)               # Hermitian to the last bit
+    G = _hermitian_table(np.frombuffer(key), T)
     G.flags.writeable = False
     return GramSystem(matrix=G)
+
+
+@functools.lru_cache(maxsize=8)
+def _mirror_indices(n):
+    """Row, column, flat index and mirrored flat index of every strict
+    upper-triangle entry of an n x n array, row by row, read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    out = (rows, cols, rows * n + cols, cols * n + rows)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _hermitian_table(lam, T):
+    """H[m, n] = phase_integral(lam_n - lam_m, T) as a new writable array.
+
+    Only the strict upper triangle is evaluated.  H is an inner-product
+    Gram, so the lower triangle is the conjugate mirror (evaluating it
+    gives the same bits) and the diagonal is exactly T.
+    """
+    n = len(lam)
+    rows, cols, upper, lower = _mirror_indices(n)
+    values = phase_integral(lam[cols] - lam[rows], T)
+    H = np.empty((n, n), dtype=complex)
+    flat = H.reshape(-1)
+    flat[upper] = values
+    flat[lower] = values.conj()
+    flat[:: n + 1] = T
+    return H
+
+
+@functools.lru_cache(maxsize=1)
+def _forward_phases(state_key, waveform_key, T):
+    """Read-only P[n, k] = integral_0^T exp(i (omega_k - lambda_n) s) ds of the
+    state frequencies frombuffer(state_key) against the waveform frequencies
+    frombuffer(waveform_key).  One entry serves the moment and HUM checks of
+    a pair, and it is never the Gram entry the controls were solved with."""
+    lam = np.frombuffer(state_key)
+    if waveform_key == state_key:
+        P = _hermitian_table(lam, T)
+    else:
+        P = phase_integral(-np.subtract.outer(lam, np.frombuffer(waveform_key)), T)
+    P.flags.writeable = False
+    return P
 
 
 def phase_integral(omega, horizon):
@@ -296,7 +341,11 @@ def _uniform_grid(ts, fs):
     if len(ts) < 3 or len(ts) % 2 == 0:
         raise ValueError("Filon-Simpson needs an odd number of samples >= 3")
     dt = ts[1] - ts[0]
-    if not np.allclose(np.diff(ts), dt, rtol=1e-9, atol=1e-12 * abs(dt)):
+    # np.allclose(diff, dt, rtol=1e-9, atol=1e-12 |dt|) in one reduction;
+    # a NaN or infinite step makes the deviation NaN or inf, which refuses
+    with np.errstate(invalid="ignore"):
+        deviation = np.abs(np.diff(ts) - dt).max()
+    if not deviation <= 1e-12 * abs(dt) + 1e-9 * abs(dt):
         raise ValueError("Filon-Simpson needs a uniform time grid")
     return ts, fs, dt
 
@@ -333,8 +382,10 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
 
     A sigma_l other than ``sd.sigma_at_right_end()`` or a state of another
     basis is refused.  ``f`` is an :class:`ExponentialSum` (moments
-    integrate in closed form) or a ``(ts, fs)`` tabulation on a uniform
-    grid covering [0, horizon] (Filon-Simpson moments).  A non-finite
+    integrate in closed form, from a phase table cached for the most
+    recent state frequencies, waveform frequencies and horizon) or a
+    ``(ts, fs)`` tabulation on a uniform grid covering [0, horizon]
+    (Filon-Simpson moments).  A non-finite
     tabulation, or one with fewer than SAMPLES_PER_PERIOD points per period
     of the fastest retained mode, is refused rather than silently dephased.
     """
@@ -346,8 +397,7 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
     if isinstance(f, ExponentialSum):
         if len(f) == 0:
             return evolve_free(state0, horizon)
-        # row n: integral_0^T exp(i (omega_k - lambda_n) s) ds, weighted by w_k
-        phases = phase_integral(-np.subtract.outer(lam, f.frequencies), horizon)
+        phases = _forward_phases(lam.tobytes(), f.frequencies.tobytes(), horizon)
         moments = np.sum(phases * f.weights, axis=1)
     else:
         ts, fs, dt = _uniform_grid(*f)

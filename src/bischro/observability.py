@@ -45,7 +45,6 @@ class ObservabilityReport:
     c_lower: float
     c_upper: float
     gram_condition: float
-    density: float
     resolution_failure: bool
 
 
@@ -69,11 +68,9 @@ def observability_constants(sd, horizon, n_modes):
     B = np.outer(tr, tr) * gs.matrix * np.outer(scale, scale)
     w = sla.eigvalsh(B)
     c_lo, c_hi = float(w[0]), float(w[-1])
-    density = float(beurling_density(lam)["estimate"][-1]) if N >= 2 else 0.0
     return ObservabilityReport(
         horizon=float(horizon), n_modes=N, c_lower=c_lo, c_upper=c_hi,
-        gram_condition=gs.condition_estimate, density=density,
-        resolution_failure=not c_lo > 0,
+        gram_condition=gs.condition_estimate, resolution_failure=not c_lo > 0,
     )
 
 

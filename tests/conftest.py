@@ -77,5 +77,9 @@ def rng():
 
 @pytest.fixture()
 def cold_gram_cache():
-    """Empty the exponential-Gram cache: the Gram and its condition."""
-    return bischro.dynamics._gram.cache_clear
+    """Empty both phase-table caches: the Gram with its condition, and the
+    forward-check table."""
+    def clear():
+        bischro.dynamics._gram.cache_clear()
+        bischro.dynamics._forward_phases.cache_clear()
+    return clear

@@ -313,9 +313,36 @@ def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_ca
     observability_constants(sd, T, N)
     # the Gram once, and the weight-normalized matrix of the constants
     assert calls == [(N, N), (N, N)]
-    # the Gram once (every norm reads it), and one independent forward
-    # verification per control
-    assert phases == [(N, N), (N, N), (N, N)]
+    # the strict upper triangle of the Gram once (every norm reads it), and
+    # of one independent forward table, which both controls' checks read
+    assert phases == [(N * (N - 1) // 2,), (N * (N - 1) // 2,)]
+
+
+def _full_forward_table(state_key, waveform_key, T):
+    # the forward check's table as every entry was once formed: in full, uncached
+    lam = np.frombuffer(state_key)
+    return phase_integral(-np.subtract.outer(lam, np.frombuffer(waveform_key)), T)
+
+
+@pytest.mark.parametrize("N", [8, 32, 102])
+def test_pair_residuals_match_uncached_forward_table(sd_const_2048, rng, N, monkeypatch,
+                                                     cold_gram_cache):
+    sd = sd_const_2048
+    sigma_l = sd.sigma_at_right_end()
+
+    def pair(state, T):
+        mom = synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
+        hum = synthesize_hum_control(state, sd, T, N, sigma_l)
+        return mom.residual_final, hum.residual_final
+
+    for T in (0.01, 0.5):
+        state = modal_state(sd, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        cold_gram_cache()
+        cached = pair(state, T)
+        cold_gram_cache()
+        with monkeypatch.context() as m:
+            m.setattr(bischro.dynamics, "_forward_phases", _full_forward_table)
+            assert pair(state, T) == cached
 
 
 def _closed_form_norm(frequencies, weights, T):

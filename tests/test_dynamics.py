@@ -1,5 +1,8 @@
 import dataclasses
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from bischro import (
     sobolev_norm,
     solve_spectrum,
 )
-from bischro.dynamics import SAMPLES_PER_PERIOD, _filon_moments, _uniform_grid
+from bischro.dynamics import (SAMPLES_PER_PERIOD, _filon_moments, _forward_phases,
+                              _uniform_grid, gram)
 
 from .oracles import gauss_integral, rk_controlled
 
@@ -262,6 +266,51 @@ def test_filon_requires_odd_uniform_grid():
         _uniform_grid(bad, np.zeros(9))
 
 
+def _grid_accepted(ts):
+    try:
+        _uniform_grid(ts, np.zeros(len(ts)))
+    except ValueError as exc:
+        assert "uniform" in str(exc)
+        return False
+    return True
+
+
+def _allclose_accepts(ts):
+    # the grid test as np.allclose states it; it warns of a non-finite atol
+    dt = ts[1] - ts[0]
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return bool(np.allclose(np.diff(ts), dt, rtol=1e-9, atol=1e-12 * abs(dt)))
+
+
+def test_uniform_grid_decisions_match_allclose(rng):
+    # steps jittered around the tolerance 1e-12 |dt| + 1e-9 |dt|: inside,
+    # at and just past it, in one step or in the first (which sets dt)
+    decisions = []
+    for dt in (1e-3, 0.37, 250.0):
+        tol = 1e-12 * dt + 1e-9 * dt
+        for scale in (0.5, 0.999, 1.0, 1.001, 1.01, 2.0):
+            for at in (0, 1, 5):
+                for sign in (1.0, -1.0):
+                    for start in (0.0, rng.uniform(-1.0, 1.0)):
+                        steps = np.full(10, dt)
+                        steps[at] += sign * scale * tol
+                        ts = start + np.concatenate([[0.0], np.cumsum(steps)])
+                        accepted = _grid_accepted(ts)
+                        assert accepted == _allclose_accepts(ts), (dt, scale, at, sign)
+                        decisions.append(accepted)
+    assert any(decisions) and not all(decisions)
+    base = np.linspace(0.0, 1.0, 11)
+    for k in (0, 1, 5, 10):
+        for bad in (np.nan, np.inf, -np.inf):
+            ts = base.copy()
+            ts[k] = bad
+            assert not _grid_accepted(ts) and not _allclose_accepts(ts), (k, bad)
+    # every step infinite: np.allclose calls inf close to inf, the check refuses
+    ts = np.array([-np.inf, 0.0, np.inf])
+    assert _allclose_accepts(ts) and not _grid_accepted(ts)
+
+
 # ---- controlled evolution --------------------------------------------------
 
 @pytest.mark.parametrize("frequencies, weights", [(3.0, 2.0), ([[1.0, 2.0]], [[1.0, 0.5j]])])
@@ -423,3 +472,102 @@ def test_transposition_style_bound_sampled(sd_const_128, rng):
             out = evolve_controlled(state, sd, sigma_l, f, t)
             worst = max(worst, sobolev_norm(out, -0.5) / denom)
     assert worst <= bound
+
+
+# ---- the forward-check phase table -----------------------------------------
+
+def _direct_forward(state, f, T):
+    # evolve_controlled's closed form with a full phase table formed afresh
+    sd = state.basis
+    lam = state.frequencies
+    phases = phase_integral(-np.subtract.outer(lam, f.frequencies), T)
+    moments = np.sum(phases * f.weights, axis=1)
+    return np.exp(1j * lam * T) * (state.coefficients
+                                   + 1j * sd.sigma_at_right_end() * sd.traces[: len(lam)] * moments)
+
+
+def test_forward_table_general_branch_unchanged(sd_const_128, rng, cold_gram_cache):
+    # the Hermitian half table serves only a waveform on the state's own
+    # frequencies; unsorted, repeated and foreign ones take the full table
+    sd = sd_const_128
+    N, T = 6, 0.3
+    lam = sd.eigenvalues[:N]
+    state = modal_state(sd, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    nudged = lam.copy()
+    nudged[2] = np.nextafter(nudged[2], np.inf)
+    waveforms = (
+        lam,
+        lam[::-1],
+        np.array([37.5, 2.0, 911.25, -4.0, 2.0, 0.0, 150.3, 1e-3]),
+        sd.eigenvalues[: N + 1],
+        nudged,
+    )
+    for freqs in waveforms:
+        f = ExponentialSum(freqs, rng.standard_normal(len(freqs)) + 1j)
+        cold_gram_cache()
+        out = evolve_controlled(state, sd, sd.sigma_at_right_end(), f, T)
+        assert out.coefficients.tobytes() == _direct_forward(state, f, T).tobytes()
+
+
+def test_forward_table_separate_read_only_and_rebuilt_one_ulp_away(sd_const_128,
+                                                                    cold_gram_cache):
+    sd = sd_const_128
+    N, T = 8, 0.37
+    lam = sd.eigenvalues[:N]
+    key = lam.tobytes()
+    state = modal_state(sd, np.ones(N))
+    f = ExponentialSum(lam, np.ones(N))
+    sigma_l = sd.sigma_at_right_end()
+    cold_gram_cache()
+    evolve_controlled(state, sd, sigma_l, f, T)
+    built = _forward_phases.cache_info().misses
+    evolve_controlled(state, sd, sigma_l, f, T)
+    assert _forward_phases.cache_info().misses == built
+    table = _forward_phases(key, key, T)
+    assert not table.flags.writeable
+    assert table is not gram(lam, T).matrix
+    assert table.tobytes() == gram(lam, T).matrix.tobytes()
+    T_up = np.nextafter(T, 1.0)
+    out = evolve_controlled(state, sd, sigma_l, f, T_up)
+    assert _forward_phases.cache_info().misses == built + 1
+    assert _forward_phases(key, key, T_up) is not table
+    assert out.coefficients.tobytes() == _direct_forward(state, f, T_up).tobytes()
+
+
+def test_forward_table_consistent_under_concurrent_callers(sd_const_128, cold_gram_cache):
+    # threads alternating between two horizons keep replacing the entry;
+    # every forward solve must still read the table of its own horizon
+    sd = sd_const_128
+    N = 8
+    lam = sd.eigenvalues[:N]
+    state = modal_state(sd, np.ones(N))
+    f = ExponentialSum(lam, np.linspace(1.0, 2.0, N) + 0.5j)
+    sigma_l = sd.sigma_at_right_end()
+    expected = {}
+    for T in (0.3, 0.7):
+        cold_gram_cache()
+        expected[T] = evolve_controlled(state, sd, sigma_l, f, T).coefficients
+    errors = []
+
+    def work(first):
+        try:
+            for k in range(300):
+                T = (0.3, 0.7)[(first + k) % 2]
+                out = evolve_controlled(state, sd, sigma_l, f, T)
+                if not np.array_equal(out.coefficients, expected[T]):
+                    errors.append(T)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []

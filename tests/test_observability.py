@@ -13,9 +13,10 @@ from bischro import (
     gram,
     modal_state,
     observability_constants,
+    phase_integral,
 )
 
-from .oracles import exponential_energy
+from .oracles import beam_roots, exponential_energy
 
 
 def test_gram_single_exponential():
@@ -62,6 +63,19 @@ def test_gram_energy_identity_against_quadrature(rng):
         quad = exponential_energy(lam, c, T)
         form = float(np.real(np.vdot(c, gs.matrix @ c)))
         assert form == pytest.approx(quad, rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [2, 8, 51, 102])
+def test_gram_half_table_bits_match_full_phase_table(N, cold_gram_cache):
+    # only the strict upper triangle is evaluated, the rest mirrored; at
+    # T = 1e-10 and 1e-8 entries take the small-|omega T| series branch
+    lam = beam_roots(N) ** 4
+    delta = np.subtract.outer(lam, lam)
+    assert np.any((delta != 0) & (np.abs(delta) * 1e-10 < 1e-2))
+    for T in (1e-10, 1e-8, 0.01, 0.5, 3.0):
+        cold_gram_cache()
+        full = np.asarray(phase_integral(-delta, T))
+        assert gram(lam, T).matrix.tobytes() == full.tobytes()
 
 
 def test_gram_rejects_duplicate_frequencies():
