@@ -1,17 +1,29 @@
-"""Serial OpenBLAS for the small dense layers.
+"""One BLAS thread policy for the whole package.
 
-The Gram, observability and control layers work on complex matrices
-of order N <= ~200.  There a threaded OpenBLAS wakes its worker
-threads on every zpotrf/zheevr/zgemv call and loses more than the second
-thread gains (a moment+HUM control pair at N = 102 with cold caches:
-about 16 ms at two threads, 2.8-4.2 ms at one, on a 2-core machine).
-The dense eigensolve does gain from threads, so the count is pinned to
-one only for the duration of a call and the count in effect on entry
-is restored afterwards.
+Every public numeric entry point runs under :func:`serial_blas`, which
+pins every loaded OpenBLAS to one thread for the duration of the call
+and restores the counts in effect on entry.  The one exception is the
+dense ``eigh`` inside :func:`bischro.spectrum.solve_spectrum`, which
+gains from threads: it runs inside :func:`entry_threads`, at the counts
+that were in effect when the outermost pinned call was entered.
+
+The process loads two OpenBLAS libraries, numpy's and scipy.linalg's,
+each with its own thread pool.  On the small matrices of the Gram,
+observability and control layers (N <= ~200) a threaded call spends
+more on waking its workers than the second thread gives back (a
+moment+HUM control pair at N = 102 with cold caches: about 16 ms at two
+threads, 2.8-4.2 ms at one, on a 2-core machine).  The larger cost is
+across calls: after a threaded numpy call between two eigensolves, its
+worker keeps a core busy that the next scipy ``eigh`` needs, so the
+``eigh`` stalls (on a 2-core machine, median 194-203 ms against 147 ms
+at 1022 dofs, 5.9 against 1.7 ms at 126 dofs).  Pinning numpy only
+around the ``eigh`` does not help; the calls between eigensolves must
+be serial too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import re
@@ -52,12 +64,14 @@ class _SerialScope:
     """Re-entrant scope: the outermost entry pins one thread, its exit restores.
 
     The thread count is process-wide, so nested calls and calls from
-    several Python threads share one depth count under a lock.
+    several Python threads share one depth count under a lock.  While
+    any caller is inside :meth:`threaded`, the entry counts hold.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
+        self._threaded = 0
         self._saved = ()
 
     def __enter__(self):
@@ -76,8 +90,27 @@ class _SerialScope:
                 for (_, set_), n in zip(_openblas(), self._saved):
                     set_(n)
 
+    @contextlib.contextmanager
+    def threaded(self):
+        """Run the body at the counts the outermost entry saved."""
+        with self:
+            with self._lock:
+                if self._threaded == 0:
+                    for (_, set_), n in zip(_openblas(), self._saved):
+                        set_(n)
+                self._threaded += 1
+            try:
+                yield
+            finally:
+                with self._lock:
+                    self._threaded -= 1
+                    if self._threaded == 0:
+                        for _, set_ in _openblas():
+                            set_(1)
+
 
 _SERIAL = _SerialScope()
+entry_threads = _SERIAL.threaded
 
 
 def serial_blas(fn):

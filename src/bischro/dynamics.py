@@ -93,6 +93,7 @@ def _check_problem(state, sd, sigma_l):
                          "basis; pass sd.sigma_at_right_end()")
 
 
+@serial_blas
 def project_initial(sd, y0, derivative=None):
     """Project initial data on the trusted modes by M-weighted inner products.
 
@@ -175,6 +176,7 @@ class ExponentialSum:
         if not (np.isfinite(self.frequencies).all() and np.isfinite(self.weights).all()):
             raise ValueError("frequencies and weights must be finite")
 
+    @serial_blas
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(1j * np.multiply.outer(t, self.frequencies)) @ self.weights
@@ -182,6 +184,7 @@ class ExponentialSum:
     def __len__(self):
         return len(self.frequencies)
 
+    @serial_blas
     def norm(self, horizon):
         """L^2(0, horizon) norm sqrt(w^H G w) with the cached Gram G; repeats allowed."""
         T = _positive_horizon(horizon)

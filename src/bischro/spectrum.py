@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from ._blas import entry_threads, serial_blas
 from .operator import (DiscreteOperator, _integer, band_matvec, band_to_dense,
                        boundary_trace, trusted_count)
 
@@ -139,6 +140,7 @@ def _estimate_lambda_max(kb, mb, cb):
     return x @ band_matvec(kb, x) / (x @ band_matvec(mb, x))
 
 
+@serial_blas
 def solve_spectrum(op, count):
     """Lowest ``count`` eigenpairs of the clamped pencil, polished and signed.
 
@@ -161,10 +163,12 @@ def solve_spectrum(op, count):
         raise NumericalError("mass matrix is not positive definite") from exc
 
     # band_to_dense mirrors both triangles, so the transposes hold the same
-    # values as F-contiguous views and LAPACK factors them in place
-    w, v = sla.eigh(band_to_dense(kb).T, band_to_dense(mb).T,
-                    subset_by_index=(0, count - 1),
-                    overwrite_a=True, overwrite_b=True)
+    # values as F-contiguous views and LAPACK factors them in place; the
+    # dense eigh is the one call that gains from BLAS threads
+    with entry_threads():
+        w, v = sla.eigh(band_to_dense(kb).T, band_to_dense(mb).T,
+                        subset_by_index=(0, count - 1),
+                        overwrite_a=True, overwrite_b=True)
     if w[0] <= 0:
         raise NumericalError(f"nonpositive eigenvalue {w[0]:.6e} returned")
 
@@ -235,6 +239,7 @@ class SpectrumValidation:
         return not self.failures
 
 
+@serial_blas
 def validate_spectrum(sd):
     """Per-mode report of simplicity, trace nonvanishing and orthonormality.
 

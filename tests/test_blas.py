@@ -1,4 +1,5 @@
-"""The small dense layers run on one OpenBLAS thread and restore the count."""
+"""Every entry point runs on one OpenBLAS thread and restores the count;
+only the dense eigh inside solve_spectrum runs at the caller's count."""
 
 import sys
 import threading
@@ -9,11 +10,18 @@ import pytest
 import bischro
 from bischro import (
     ConditioningError,
+    ExponentialSum,
+    NumericalError,
+    assemble,
+    constant_profile,
     gram,
     modal_state,
     moments_for_null,
+    project_initial,
+    solve_spectrum,
     synthesize_hum_control,
     synthesize_moment_control,
+    validate_spectrum,
 )
 from bischro._blas import _SERIAL, _openblas, serial_blas
 
@@ -34,6 +42,73 @@ def blas():
 
 def _counts(libs):
     return [get() for get, _ in libs]
+
+
+def _spy(seen, key, fn, libs):
+    def call(*args, **kwargs):
+        seen.setdefault(key, []).append(_counts(libs))
+        return fn(*args, **kwargs)
+    return call
+
+
+def test_dense_eigh_alone_runs_at_entry_counts(blas, monkeypatch):
+    entry = _counts(blas)
+    seen = {}
+    monkeypatch.setattr(bischro.spectrum.sla, "eigh",
+                        _spy(seen, "eigh", bischro.spectrum.sla.eigh, blas))
+    monkeypatch.setattr(bischro.spectrum, "boundary_trace",
+                        _spy(seen, "trace", bischro.spectrum.boundary_trace, blas))
+    solve_spectrum(assemble(constant_profile(), 32), 4)
+    assert seen == {"eigh": [entry], "trace": [[1] * len(blas)] * 4}
+    assert _counts(blas) == entry
+
+
+def _polish_breakdown(monkeypatch):
+    monkeypatch.setattr(bischro.spectrum.sla, "solve_banded",
+                        lambda l_and_u, ab, b, *args, **kwargs: np.full_like(b, np.nan))
+    return NumericalError, "mode 1 polish"
+
+
+def _dense_pencil_unallocatable(monkeypatch):
+    def unallocatable(band):
+        raise MemoryError(f"cannot allocate a {band.shape[1]}-square dense pencil")
+    monkeypatch.setattr(bischro.spectrum, "band_to_dense", unallocatable)
+    return MemoryError, "dense pencil"
+
+
+@pytest.mark.parametrize("inject", [_polish_breakdown, _dense_pencil_unallocatable])
+def test_threads_restored_after_solve_failure(blas, monkeypatch, inject):
+    entry = _counts(blas)
+    error, message = inject(monkeypatch)
+    with pytest.raises(error, match=message):
+        solve_spectrum(assemble(constant_profile(), 32), 4)
+    assert (_SERIAL._depth, _SERIAL._threaded) == (0, 0)
+    assert _counts(blas) == entry
+
+
+def test_pinned_layers_ignore_the_callers_thread_count(blas, var_profile, rng):
+    # 64 modes of 1022 dofs: large enough that a threaded dgemm of the mode
+    # Gram in validate_spectrum changes its last bits
+    sd = solve_spectrum(assemble(var_profile, 512), 64)
+    m = sd.trusted_count
+    freqs = sd.eigenvalues[:m]
+    weights = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    ts = np.linspace(0.0, 1.0, 4001)
+
+    def outputs():
+        table = validate_spectrum(sd).table
+        coeff = project_initial(sd, lambda x: x**2 * (1 - x) ** 2,
+                                lambda x: 2 * x * (1 - x) * (1 - 2 * x)).coefficients
+        f = ExponentialSum(freqs, weights)
+        return [*(np.asarray(col).tobytes() for col in table.values()),
+                coeff.tobytes(), f(ts).tobytes(), np.float64(f.norm(0.5)).tobytes()]
+
+    for _, set_ in blas:
+        set_(1)
+    serial = outputs()
+    for _, set_ in blas:
+        set_(2)
+    assert outputs() == serial
 
 
 def test_threads_restored_after_call(blas, sd_const_128, rng):
@@ -86,6 +161,7 @@ def test_threads_restored_after_refusal(blas, sd_const_128):
 def test_threads_restored_under_concurrent_callers(blas, sd_const_128):
     before = _counts(blas)
     lam = sd_const_128.eigenvalues[:8]
+    op = assemble(constant_profile(), 16)
     errors = []
     noop = serial_blas(lambda: None)  # enters and leaves the scope at the highest rate
 
@@ -96,10 +172,18 @@ def test_threads_restored_under_concurrent_callers(blas, sd_const_128):
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
+    def solve():  # opens and closes the eigh's threaded sub-scope inside the others'
+        try:
+            for _ in range(100):
+                solve_spectrum(op, 4)
+        except Exception as exc:
+            errors.append(exc)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         workers = [threading.Thread(target=work) for _ in range(4)]
+        workers.append(threading.Thread(target=solve))
         for w in workers:
             w.start()
         for w in workers:
@@ -108,5 +192,5 @@ def test_threads_restored_under_concurrent_callers(blas, sd_const_128):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-    assert _SERIAL._depth == 0
+    assert (_SERIAL._depth, _SERIAL._threaded) == (0, 0)
     assert _counts(blas) == before
