@@ -57,16 +57,17 @@ EXIT_CONDITIONING = 4
 SCHEMA_VERSION = "v1"
 
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
 def _csv(schema_name, table):
-    """Render a ``{column name: values}`` dict; columns of unequal length raise."""
+    """Render a ``{column name: values}`` dict; columns of unequal length raise.
+
+    Each column takes one format from its dtype: integer and bool columns
+    print as ``%d``, every other column (a list mixing ints and floats
+    included) as ``%.17g``.
+    """
+    cols = [np.asarray(col) for col in table.values()]
+    row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g" for col in cols)
     lines = [f"# schema: {schema_name}-{SCHEMA_VERSION}", ",".join(table)]
-    lines += [",".join(map(_fmt, row)) for row in zip(*table.values(), strict=True)]
+    lines += [row % values for values in zip(*(col.tolist() for col in cols), strict=True)]
     return "\n".join(lines) + "\n"
 
 

@@ -148,10 +148,14 @@ def _quarter_power(profile, x):
     return (profile.rho(x) / profile.sigma(x)) ** 0.25
 
 
+@functools.cache
 def _gauss_rule(order):
-    """Gauss-Legendre nodes/weights mapped to the unit interval [0, 1]."""
+    """Gauss-Legendre nodes/weights mapped to the unit interval [0, 1]; one
+    read-only pair per order, shared by every caller."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gauss_nodes(length):

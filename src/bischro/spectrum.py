@@ -9,6 +9,14 @@ pollutes the low eigenvalues well above the element discretization error.
 A polish sweep or lambda_max power iteration that breaks down raises
 NumericalError rather than pass on an unpolished pair.
 
+After the dense eigh the solve calls LAPACK/BLAS directly: dgbsv for
+each shifted solve, dsbmv for every banded product, and dpbtrs for the
+lambda_max power iteration and, over all modes at once, the residuals.
+These are the kernels behind scipy's solve_banded and cho_solve_banded,
+and the layouts (an F-ordered (3k+1, n) band for dgbsv, a C-ordered M V
+block for the mode Gram, an F-ordered residual block) are chosen so the
+results match that wrapper path bit for bit.
+
 Eigenvectors are M-orthonormal with signs fixed so the right-end
 curvature trace of every mode is positive (the traces never vanish for
 this operator, which is what makes every mode visible from the boundary).
@@ -25,8 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import entry_threads, serial_blas
-from .operator import (DiscreteOperator, _integer, band_matvec, band_to_dense,
-                       boundary_trace, trusted_count)
+from .operator import DiscreteOperator, _integer, band_to_dense, boundary_trace, trusted_count
 
 RESIDUAL_TOL = 1e-8
 # validate_spectrum flags: relative neighbor gap, right-end trace magnitude
@@ -90,35 +97,32 @@ class SpectralData:
         return float(p.sigma(p.length))
 
 
-def _band_to_lu_form(band):
-    """Symmetric lower band to the (2k+1, n) diagonal-ordered LU band form."""
+# the kernels the solve calls directly after its dense eigh (module docstring)
+_gbsv, _pbtrs = sla.get_lapack_funcs(("gbsv", "pbtrs"), dtype=np.float64)
+_sbmv = sla.get_blas_funcs("sbmv", dtype=np.float64)
+
+
+def _gbsv_form(band):
+    """Symmetric lower band to the (3k+1, n) F-ordered layout gbsv factors in
+    place: the first k rows are LU fill-in, row 2k the diagonal."""
     k = band.shape[0] - 1
     n = band.shape[1]
-    ab = np.zeros((2 * k + 1, n))
-    ab[k] = band[0]
+    ab = np.zeros((3 * k + 1, n), order="F")
+    ab[2 * k] = band[0]
     for i in range(1, k + 1):
-        ab[k + i, : n - i] = band[i, : n - i]
-        ab[k - i, i:] = band[i, : n - i]
+        ab[2 * k + i, : n - i] = band[i, : n - i]
+        ab[2 * k - i, i:] = band[i, : n - i]
     return ab
 
 
-def _polish_pair(kb, mb, lam, vec, mode):
-    """Shifted inverse iteration plus Rayleigh quotient on the banded pencil."""
-    k = kb.shape[0] - 1
-    for _ in range(POLISH_SWEEPS):
-        ab = _band_to_lu_form(kb - lam * mb)
-        rhs = band_matvec(mb, vec)
-        try:
-            z = sla.solve_banded((k, k), ab, rhs)
-        except (sla.LinAlgError, ValueError) as exc:
-            raise NumericalError(f"mode {mode} polish: shifted solve failed ({exc})") from exc
-        mz = band_matvec(mb, z)
-        nrm = np.sqrt(z @ mz)   # NaN or inf for a non-finite iterate
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise NumericalError(f"mode {mode} polish: shifted-solve iterate has M-norm {nrm}")
-        vec = z / nrm
-        lam = vec @ band_matvec(kb, vec)
-    return lam, vec
+def _band_times(band, vecs):
+    """``band @ vecs`` one dsbmv per column, as a C-ordered (n, count) block:
+    the layout the mode Gram's matmul needs to keep its bits."""
+    k = band.shape[0] - 1
+    out = np.empty(vecs.shape)
+    for j in range(vecs.shape[1]):
+        out[:, j] = _sbmv(k, 1.0, band, vecs[:, j], lower=1)
+    return out
 
 
 def _estimate_lambda_max(kb, mb, cb):
@@ -126,18 +130,20 @@ def _estimate_lambda_max(kb, mb, cb):
 
     ``cb`` is the lower banded Cholesky factor of ``mb``.
     """
+    k = kb.shape[0] - 1
     n = kb.shape[1]
     x = np.ones(n)
     x[::2] = -1.0
     x /= np.linalg.norm(x)
     for _ in range(POWER_ITERATIONS):
-        y = band_matvec(kb, x)
-        x = sla.cho_solve_banded((cb, True), y)
+        x, info = _pbtrs(cb, _sbmv(k, 1.0, kb, x, lower=1), lower=1, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"lambda_max power iteration: pbtrs info {info}")
         nrm = np.linalg.norm(x)
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericalError(f"lambda_max power iteration: iterate has norm {nrm}")
         x /= nrm
-    return x @ band_matvec(kb, x) / (x @ band_matvec(mb, x))
+    return x @ _sbmv(k, 1.0, kb, x, lower=1) / (x @ _sbmv(k, 1.0, mb, x, lower=1))
 
 
 @serial_blas
@@ -172,10 +178,26 @@ def solve_spectrum(op, count):
     if w[0] <= 0:
         raise NumericalError(f"nonpositive eigenvalue {w[0]:.6e} returned")
 
+    # shifted inverse iteration plus Rayleigh quotient on the banded pencil
+    k = kb.shape[0] - 1
+    k3, m3 = _gbsv_form(kb), _gbsv_form(mb)
+    kb, mb = np.asfortranarray(kb), np.asfortranarray(mb)   # dsbmv reads these uncopied
     lams = np.empty(count)
     vecs = np.empty_like(v)
     for i in range(count):
-        lam, vec = _polish_pair(kb, mb, w[i], v[:, i], i + 1)
+        lam, vec = w[i], v[:, i]
+        for _ in range(POLISH_SWEEPS):
+            _, _, z, info = _gbsv(k, k, k3 - lam * m3, _sbmv(k, 1.0, mb, vec, lower=1),
+                                  overwrite_ab=1, overwrite_b=1)
+            if info != 0:
+                raise NumericalError(
+                    f"mode {i + 1} polish: shifted solve failed (gbsv info {info})")
+            nrm = np.sqrt(z @ _sbmv(k, 1.0, mb, z, lower=1))   # NaN or inf for a non-finite z
+            if not np.isfinite(nrm) or nrm == 0.0:
+                raise NumericalError(
+                    f"mode {i + 1} polish: shifted-solve iterate has M-norm {nrm}")
+            vec = z / nrm
+            lam = vec @ _sbmv(k, 1.0, kb, vec, lower=1)
         lams[i] = lam
         vecs[:, i] = vec
     order = np.argsort(lams, kind="stable")
@@ -188,8 +210,7 @@ def solve_spectrum(op, count):
     # deviations around the inverse-iteration floor; one Cholesky pass
     # against the measured Gram restores M-orthonormality to roundoff and
     # mixes only O(deviation) of near neighbors into each mode
-    mv = np.column_stack([band_matvec(mb, vecs[:, j]) for j in range(count)])
-    gram = vecs.T @ mv
+    gram = vecs.T @ _band_times(mb, vecs)
     try:
         chol = sla.cholesky(gram, lower=False)
     except sla.LinAlgError as exc:
@@ -198,21 +219,27 @@ def solve_spectrum(op, count):
 
     floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _estimate_lambda_max(kb, mb, cb)
     traces = np.empty(count)
-    residuals = np.empty(count)
+    # F-ordered, so each column's dot with its M^{-1}-weighted copy is contiguous
+    r = np.empty((kb.shape[1], count), order="F")
     for i in range(count):
         t = boundary_trace(op, vecs[:, i])
         if t < 0:
             vecs[:, i] = -vecs[:, i]
             t = -t
         traces[i] = t
-        r = band_matvec(kb, vecs[:, i]) - lams[i] * band_matvec(mb, vecs[:, i])
-        rw = sla.cho_solve_banded((cb, True), r)
-        residuals[i] = np.sqrt(abs(r @ rw))
-        gate = RESIDUAL_TOL * lams[i] + floor
-        if residuals[i] > gate:
-            raise NumericalError(
-                f"mode {i + 1} residual {residuals[i]:.3e} exceeds gate {gate:.3e}"
-            )
+        vec = vecs[:, i]
+        r[:, i] = _sbmv(k, 1.0, kb, vec, lower=1) - lams[i] * _sbmv(k, 1.0, mb, vec, lower=1)
+    rw, info = _pbtrs(cb, r, lower=1)
+    if info != 0:
+        raise NumericalError(f"residual solve: pbtrs info {info}")
+    residuals = np.array([np.sqrt(abs(r[:, i] @ rw[:, i])) for i in range(count)])
+    gates = RESIDUAL_TOL * lams + floor
+    bad = np.flatnonzero(residuals > gates)
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(
+            f"mode {i + 1} residual {residuals[i]:.3e} exceeds gate {gates[i]:.3e}"
+        )
 
     return SpectralData(
         eigenvalues=lams,
@@ -255,8 +282,7 @@ def validate_spectrum(sd):
     n = sd.trusted_count
     lam = sd.eigenvalues
     _, mb = sd.op.constrained_bands()
-    mv = np.column_stack([band_matvec(mb, sd.modes[:, j]) for j in range(sd.count)])
-    gram_dev = np.abs(sd.modes.T @ mv - np.eye(sd.count))
+    gram_dev = np.abs(sd.modes.T @ _band_times(mb, sd.modes) - np.eye(sd.count))
 
     # each neighbor pair's gap over its upper eigenvalue, padded with inf at both ends
     gaps = np.concatenate(([np.inf], np.diff(lam) / lam[1:], [np.inf]))

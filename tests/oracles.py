@@ -5,7 +5,9 @@ plain interval bisection on stdlib math functions, oscillatory-energy
 integrals use composite Gauss-Legendre panels sized to the fastest
 frequency, the controlled modal system is integrated by an adaptive
 high-order Runge-Kutta method, and variable-coefficient spectra come
-from a Legendre-Galerkin discretization.
+from a Legendre-Galerkin discretization.  The one exception,
+:func:`wrapper_post_eigh`, repeats the eigensolve's own arithmetic
+through scipy's wrappers, to pin its bits.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial import legendre
 from scipy.integrate import solve_ivp
+from scipy.linalg import blas
 
 # First eight positive roots of cos(x) cosh(x) = 1, frozen from a
 # 40-digit bisection; the k-th root sits within 0.5 of (k + 1/2) pi.
@@ -152,3 +155,78 @@ def galerkin_clamped_spectrum(rho, sigma, q, length, count, size=48, points=200,
         lambdas.append(lam_n)
         traces.append(abs(end @ v))
     return np.array(lambdas), np.array(traces)
+
+
+def _sym_band_matvec(band, x):
+    """Symmetric lower band times vector through scipy's dsbmv wrapper."""
+    return blas.dsbmv(band.shape[0] - 1, 1.0, band, np.ascontiguousarray(x, dtype=float),
+                      lower=1)
+
+
+def _lu_band(band):
+    """Symmetric lower band to the (2k+1, n) form scipy's solve_banded takes."""
+    k = band.shape[0] - 1
+    n = band.shape[1]
+    ab = np.zeros((2 * k + 1, n))
+    ab[k] = band[0]
+    for i in range(1, k + 1):
+        ab[k + i, : n - i] = band[i, : n - i]
+        ab[k - i, i:] = band[i, : n - i]
+    return ab
+
+
+def wrapper_post_eigh(op, w, v, sweeps=2, power_iterations=50):
+    """The clamped eigensolve after its dense ``eigh``, through scipy's wrappers.
+
+    Given the dense pairs ``(w, v)`` of the constrained pencil of ``op``,
+    polishes each by ``sweeps`` shifted inverse iterations
+    (``solve_banded``) with a Rayleigh-quotient update, sorts,
+    M-orthonormalizes against the measured mode Gram, signs each mode by
+    its right-end curvature and measures its residual in the M^{-1} norm
+    (``cho_solve_banded``).  Returns ``(eigenvalues, modes, traces,
+    residuals, lambda_max)``, the last a power-iteration estimate of the
+    largest eigenvalue.  This is the wrapper-based loop the package's
+    direct kernel calls must reproduce bit for bit.
+    """
+    kb, mb = op.constrained_bands()
+    k = kb.shape[0] - 1
+    cb = sla.cholesky_banded(mb, lower=True)
+    count = len(w)
+    lams = np.empty(count)
+    vecs = np.empty_like(v)
+    for i in range(count):
+        lam, vec = w[i], v[:, i]
+        for _ in range(sweeps):
+            z = sla.solve_banded((k, k), _lu_band(kb - lam * mb), _sym_band_matvec(mb, vec))
+            vec = z / np.sqrt(z @ _sym_band_matvec(mb, z))
+            lam = vec @ _sym_band_matvec(kb, vec)
+        lams[i] = lam
+        vecs[:, i] = vec
+    order = np.argsort(lams, kind="stable")
+    lams = lams[order]
+    vecs = vecs[:, order]
+    mv = np.column_stack([_sym_band_matvec(mb, vecs[:, j]) for j in range(count)])
+    chol = sla.cholesky(vecs.T @ mv, lower=False)
+    vecs = sla.solve_triangular(chol.T, vecs.T, lower=True).T
+
+    x = np.ones(kb.shape[1])
+    x[::2] = -1.0
+    x /= np.linalg.norm(x)
+    for _ in range(power_iterations):
+        x = sla.cho_solve_banded((cb, True), _sym_band_matvec(kb, x))
+        x /= np.linalg.norm(x)
+    lam_max = x @ _sym_band_matvec(kb, x) / (x @ _sym_band_matvec(mb, x))
+
+    h = op.h
+    curvature = np.array([6.0 / h**2, 2.0 / h, -6.0 / h**2, 4.0 / h])
+    traces = np.empty(count)
+    residuals = np.empty(count)
+    for i in range(count):
+        t = op.expand(vecs[:, i])[-4:] @ curvature
+        if t < 0:
+            vecs[:, i] = -vecs[:, i]
+            t = -t
+        traces[i] = t
+        r = _sym_band_matvec(kb, vecs[:, i]) - lams[i] * _sym_band_matvec(mb, vecs[:, i])
+        residuals[i] = np.sqrt(abs(r @ sla.cho_solve_banded((cb, True), r)))
+    return lams, vecs, traces, residuals, lam_max

@@ -178,3 +178,14 @@ def test_sampled_profile_runs_whole_pipeline():
     sd_b = solve_spectrum(assemble(poly, 96), 5)
     assert sd_a.wavenumbers == pytest.approx(sd_b.wavenumbers, rel=1e-9)
     assert sd_a.traces == pytest.approx(sd_b.traces, rel=1e-8)
+
+
+def test_gauss_rule_is_one_read_only_pair_per_order():
+    from bischro.coefficients import _gauss_rule
+    nodes, weights = _gauss_rule(4)
+    assert _gauss_rule(4) is _gauss_rule(4)
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert np.array_equal(nodes, (x + 1.0) / 2.0) and np.array_equal(weights, w / 2.0)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0

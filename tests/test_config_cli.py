@@ -320,8 +320,8 @@ def test_cli_observability_positivity_loss_exits_numerical(tmp_path, capsys):
 
 
 def test_cli_polish_breakdown_exits_numerical(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bischro.spectrum.sla, "solve_banded",
-                        lambda l_and_u, ab, b, *args, **kwargs: np.full_like(b, np.nan))
+    monkeypatch.setattr(bischro.spectrum, "_gbsv",
+                        lambda kl, ku, ab, b, **kwargs: (ab, None, np.full_like(b, np.nan), 0))
     cfg = _write(tmp_path, MINIMAL)
     out = tmp_path / "polish"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
@@ -559,6 +559,23 @@ def test_csv_renders_columns_exactly():
         "n,k,x\n"
         "1,3,0.10000000000000001\n"
         "2,-4,0.33333333333333331\n"
+    )
+    # integers of any width print whole, bools as 0/1, a list mixing ints
+    # and floats as floats, and the IEEE specials as Python spells them
+    table = {"int": [7, -8, 0, 2**62],
+             "np_int": np.array([1, 2, 3, 2**64 - 1], dtype=np.uint64),
+             "np_bool": np.array([True, False, True, False]),
+             "bool": [False, True, True, False],
+             "mixed": [1, 2.5, -3, 0.1],
+             "special": np.array([-0.0, np.nan, -np.inf, 5e-324])}
+    assert bischro.cli._csv("demo", table) == (
+        "# schema: demo-v1\n"
+        "int,np_int,np_bool,bool,mixed,special\n"
+        "7,1,1,0,1,-0\n"
+        "-8,2,0,1,2.5,nan\n"
+        "0,3,1,1,-3,-inf\n"
+        "4611686018427387904,18446744073709551615,0,0,0.10000000000000001,"
+        "4.9406564584124654e-324\n"
     )
 
 

@@ -9,7 +9,7 @@ from bischro import (NumericalError, assemble, build_profile, constant_profile, 
                      validate_spectrum)
 from bischro.operator import band_matvec
 
-from .oracles import CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum
+from .oracles import CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum, wrapper_post_eigh
 
 # a smooth variable profile with every coefficient non-constant:
 # rho = 1 + x/2, sigma = 1 + 0.3 x + 0.2 x^2, q = 0.4 x (1 - x)
@@ -224,18 +224,74 @@ def test_eigensolve_makes_no_private_dense_copies(const_profile):
 
 @pytest.mark.parametrize("failure", ["nan", "singular"])
 def test_polish_breakdown_raises_naming_the_mode(monkeypatch, failure):
-    def broken(l_and_u, ab, b, *args, **kwargs):
-        if failure == "singular":
-            raise sla.LinAlgError("singular matrix")
-        return np.full_like(b, np.nan)
+    gbsv = bischro.spectrum._gbsv
 
-    monkeypatch.setattr(bischro.spectrum.sla, "solve_banded", broken)
+    def broken(kl, ku, ab, b, **kwargs):
+        if failure == "singular":   # the real kernel, on an exactly singular shift
+            return gbsv(kl, ku, np.zeros_like(ab), b, **kwargs)
+        return ab, None, np.full_like(b, np.nan), 0
+
+    monkeypatch.setattr(bischro.spectrum, "_gbsv", broken)
     with pytest.raises(NumericalError, match="mode 1 polish"):
         solve_spectrum(assemble(constant_profile(), 32), 4)
 
 
+def test_polish_reports_gbsv_info_naming_the_mode(monkeypatch):
+    # the raw kernel reports a zero pivot through info instead of raising,
+    # and its solution may still look finite
+    from bischro.spectrum import POLISH_SWEEPS
+    gbsv = bischro.spectrum._gbsv
+    calls = []
+
+    def late_pivot(kl, ku, ab, b, **kwargs):
+        calls.append(None)
+        lub, piv, x, info = gbsv(kl, ku, ab, b, **kwargs)
+        return lub, piv, x, 7 if len(calls) == 2 * POLISH_SWEEPS + 1 else info
+
+    monkeypatch.setattr(bischro.spectrum, "_gbsv", late_pivot)
+    with pytest.raises(NumericalError,
+                       match=r"mode 3 polish: shifted solve failed \(gbsv info 7\)"):
+        solve_spectrum(assemble(constant_profile(), 32), 4)
+
+
 def test_lambda_max_breakdown_raises(monkeypatch):
-    monkeypatch.setattr(bischro.spectrum.sla, "cho_solve_banded",
-                        lambda cb, b, *args, **kwargs: np.zeros_like(b))
+    monkeypatch.setattr(bischro.spectrum, "_pbtrs",
+                        lambda cb, b, **kwargs: (np.zeros_like(b), 0))
     with pytest.raises(NumericalError, match="lambda_max power iteration"):
         solve_spectrum(assemble(constant_profile(), 32), 4)
+
+
+SAMPLED_SIGMA_SPEC = {
+    "length": 1.0, "rho": {"poly": [1.0, 0.5]}, "q": {"poly": [0.0, 0.4, -0.4]},
+    "sigma": {"samples": [(0.0, 1.0), (0.25, 1.2), (0.5, 1.1), (0.75, 1.3), (1.0, 1.25)]},
+}
+
+
+@pytest.mark.parametrize("elements", [64, 512])
+@pytest.mark.parametrize("spec", [{"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0},
+                                  SAMPLED_SIGMA_SPEC], ids=["constant", "sampled_sigma"])
+def test_post_eigh_kernels_match_the_wrapper_loop_bit_for_bit(monkeypatch, spec, elements):
+    # the benchmark's control metrics sit at 1-2 ulp, so the direct LAPACK/BLAS
+    # calls after the dense eigh must keep every bit of the wrapper-based loop
+    from bischro._blas import serial_blas
+    from bischro.spectrum import _estimate_lambda_max
+    dense, real_eigh = [], sla.eigh
+
+    def eigh(*args, **kwargs):
+        w, v = real_eigh(*args, **kwargs)
+        dense.append((w.copy(), v.copy(order="K")))   # keep the F order eigh returns
+        return w, v
+
+    op = assemble(build_profile(spec), elements)
+    monkeypatch.setattr(bischro.spectrum.sla, "eigh", eigh)
+    sd = solve_spectrum(op, elements // 8)
+    (w, v), = dense
+    # solve_spectrum runs everything but its eigh on one BLAS thread, and a
+    # threaded Gram matmul moves bits
+    lams, modes, traces, residuals, lam_max = serial_blas(wrapper_post_eigh)(op, w, v)
+    assert np.array_equal(sd.eigenvalues, lams)
+    assert np.array_equal(sd.modes, modes)
+    assert np.array_equal(sd.traces, traces)
+    assert np.array_equal(sd.residuals, residuals)
+    kb, mb = op.constrained_bands()
+    assert _estimate_lambda_max(kb, mb, sla.cholesky_banded(mb, lower=True)) == lam_max
