@@ -56,13 +56,15 @@ SERIES_TERMS = 24
 
 @dataclass(frozen=True)
 class ModalState:
-    """Complex modal coefficients of a solution at one time instant."""
+    """Complex modal coefficients (a 1-d array) of a solution at one time instant."""
 
     coefficients: np.ndarray
     basis: SpectralData = field(repr=False)
     projection_residual: float | None = None
 
     def __post_init__(self):
+        if np.ndim(self.coefficients) != 1:
+            raise ValueError("coefficients must be a 1-d sequence")
         if len(self.coefficients) > self.basis.trusted_count:
             raise ValueError(
                 f"{len(self.coefficients)} coefficients exceed the "
@@ -100,8 +102,11 @@ def project_initial(sd, y0, derivative=None):
     ``y0`` may be a callable on [0, ell] (optionally with its derivative),
     a ``(xs, values)`` sample pair, or a dof vector of the underlying
     mesh.  The returned state carries the relative M-norm residual of the
-    truncated reconstruction; non-finite data is refused.
+    truncated reconstruction; non-finite data, and a ``derivative`` with
+    data that is not callable, are refused.
     """
+    if derivative is not None and not callable(y0):
+        raise ValueError("derivative is accepted only with a callable y0")
     op = sd.op
     if callable(y0):
         dofs = op.interpolate(y0, derivative)
@@ -144,7 +149,9 @@ def project_initial(sd, y0, derivative=None):
 
 
 def evolve_free(state, t):
-    """Advance by t under the uncontrolled flow: exact diagonal phases."""
+    """Advance by a finite t under the uncontrolled flow: exact diagonal phases."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     lam = state.frequencies
     coeff = state.coefficients * np.exp(1j * lam * t)
     return ModalState(coefficients=coeff, basis=state.basis)
@@ -224,14 +231,17 @@ def gram(lambdas, horizon):
     """Exponential Gram system of ``lambdas`` on (0, horizon), closed-form entries.
 
     Off-diagonals are (exp(i dT) - 1)/(i d); the diagonal is exactly the
-    horizon.  Duplicate frequencies, which make the family degenerate,
-    and horizons that are not positive and finite are refused.  The most
-    recent (lambdas, horizon), keyed by the exact bytes, is remembered
-    with its condition, and ExponentialSum.norm reads the same entry.
+    horizon.  Non-finite frequencies, duplicates (which make the family
+    degenerate) and horizons that are not positive and finite are
+    refused.  The most recent (lambdas, horizon), keyed by the exact
+    bytes, is remembered with its condition, and ExponentialSum.norm
+    reads the same entry.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
         raise ValueError("lambdas must be a nonempty 1-d sequence")
+    if not np.isfinite(lam).all():
+        raise ValueError("lambdas must be finite")
     T = _positive_horizon(horizon)
     if len(lam) > 1:
         order = np.argsort(lam, kind="stable")

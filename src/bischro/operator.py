@@ -9,8 +9,9 @@ Stiffness and mass are assembled with a fixed 4-point Gauss rule per
 element, which integrates every constant-coefficient entry exactly
 (element integrands are at most degree six) and is adequate for smooth
 variable coefficients.  Both matrices are stored in symmetric lower-band
-form with half-bandwidth 3, so the memory cost is linear in E; dense
-copies are materialized only where the eigensolver needs them.
+form with half-bandwidth 3, so the memory cost is linear in E.  The
+bands, like the dense copies made only where the eigensolver needs
+them, are F-ordered: the layout LAPACK and BLAS read without a copy.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def trusted_count(elements, modes):
 
 
 def band_to_dense(band):
-    """Expand symmetric lower-band storage band[i, j] = A[j+i, j] to dense."""
+    """Expand symmetric lower-band storage band[i, j] = A[j+i, j] to F-ordered dense."""
     n = band.shape[1]
-    out = np.zeros((n, n))
+    out = np.zeros((n, n), order="F")
     for i in range(band.shape[0]):
         idx = np.arange(n - i)
         out[idx + i, idx] = band[i, : n - i]
@@ -84,14 +85,18 @@ def band_to_dense(band):
 
 
 def band_matvec(band, x):
-    """Symmetric banded matrix times vector; complex vectors split in parts."""
-    k = band.shape[0] - 1
+    """Symmetric lower band times a vector, or times each column of a 2-d block into a
+    C-ordered block (the mode Gram's layout); complex parts split.  The one dsbmv caller."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        re = _blas.dsbmv(k, 1.0, band, np.ascontiguousarray(x.real), lower=1)
-        im = _blas.dsbmv(k, 1.0, band, np.ascontiguousarray(x.imag), lower=1)
-        return re + 1j * im
-    return _blas.dsbmv(k, 1.0, band, np.ascontiguousarray(x, dtype=float), lower=1)
+        return band_matvec(band, x.real) + 1j * band_matvec(band, x.imag)
+    k = band.shape[0] - 1
+    if x.ndim == 2:
+        out = np.empty(x.shape)
+        for j in range(x.shape[1]):
+            out[:, j] = _blas.dsbmv(k, 1.0, band, x[:, j], lower=1)
+        return out
+    return _blas.dsbmv(k, 1.0, band, x, lower=1)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class DiscreteOperator:
     profile: CoefficientProfile
     n_elements: int
     h: float
-    kband: np.ndarray = field(repr=False)   # full dofs, symmetric lower band
+    kband: np.ndarray = field(repr=False)   # full dofs, symmetric lower band, F-ordered
     mband: np.ndarray = field(repr=False)
 
     @property
@@ -203,8 +208,8 @@ def assemble(profile, elements):
     Me = np.einsum("eg,gi,gj->eij", rho, N, N)
 
     ndof = 2 * (E + 1)
-    kband = np.zeros((HALF_BANDWIDTH + 1, ndof))
-    mband = np.zeros((HALF_BANDWIDTH + 1, ndof))
+    kband = np.zeros((HALF_BANDWIDTH + 1, ndof), order="F")
+    mband = np.zeros((HALF_BANDWIDTH + 1, ndof), order="F")
     base = 2 * np.arange(E)
     for col in range(4):
         for row in range(col, 4):

@@ -9,13 +9,12 @@ pollutes the low eigenvalues well above the element discretization error.
 A polish sweep or lambda_max power iteration that breaks down raises
 NumericalError rather than pass on an unpolished pair.
 
-After the dense eigh the solve calls LAPACK/BLAS directly: dgbsv for
-each shifted solve, dsbmv for every banded product, and dpbtrs for the
-lambda_max power iteration and, over all modes at once, the residuals.
-These are the kernels behind scipy's solve_banded and cho_solve_banded,
-and the layouts (an F-ordered (3k+1, n) band for dgbsv, a C-ordered M V
-block for the mode Gram, an F-ordered residual block) are chosen so the
-results match that wrapper path bit for bit.
+After the dense eigh the solve calls LAPACK directly, dgbsv for each
+shifted solve and dpbtrs for the lambda_max power iteration and, over all
+modes at once, the residuals, and takes every banded product from
+operator.band_matvec.  With the F-ordered pencil from assemble, an
+F-ordered (3k+1, n) band for dgbsv and an F-ordered residual block, the
+results match scipy's solve_banded/cho_solve_banded path bit for bit.
 
 Eigenvectors are M-orthonormal with signs fixed so the right-end
 curvature trace of every mode is positive (the traces never vanish for
@@ -33,7 +32,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import entry_threads, serial_blas
-from .operator import DiscreteOperator, _integer, band_to_dense, boundary_trace, trusted_count
+from .operator import (DiscreteOperator, _integer, band_matvec, band_to_dense, boundary_trace,
+                       trusted_count)
 
 RESIDUAL_TOL = 1e-8
 # validate_spectrum flags: relative neighbor gap, right-end trace magnitude
@@ -99,7 +99,6 @@ class SpectralData:
 
 # the kernels the solve calls directly after its dense eigh (module docstring)
 _gbsv, _pbtrs = sla.get_lapack_funcs(("gbsv", "pbtrs"), dtype=np.float64)
-_sbmv = sla.get_blas_funcs("sbmv", dtype=np.float64)
 
 
 def _gbsv_form(band):
@@ -115,35 +114,23 @@ def _gbsv_form(band):
     return ab
 
 
-def _band_times(band, vecs):
-    """``band @ vecs`` one dsbmv per column, as a C-ordered (n, count) block:
-    the layout the mode Gram's matmul needs to keep its bits."""
-    k = band.shape[0] - 1
-    out = np.empty(vecs.shape)
-    for j in range(vecs.shape[1]):
-        out[:, j] = _sbmv(k, 1.0, band, vecs[:, j], lower=1)
-    return out
-
-
 def _estimate_lambda_max(kb, mb, cb):
     """Deterministic power iteration on M^{-1} K for a residual floor.
 
     ``cb`` is the lower banded Cholesky factor of ``mb``.
     """
-    k = kb.shape[0] - 1
-    n = kb.shape[1]
-    x = np.ones(n)
+    x = np.ones(kb.shape[1])
     x[::2] = -1.0
     x /= np.linalg.norm(x)
     for _ in range(POWER_ITERATIONS):
-        x, info = _pbtrs(cb, _sbmv(k, 1.0, kb, x, lower=1), lower=1, overwrite_b=1)
+        x, info = _pbtrs(cb, band_matvec(kb, x), lower=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"lambda_max power iteration: pbtrs info {info}")
         nrm = np.linalg.norm(x)
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericalError(f"lambda_max power iteration: iterate has norm {nrm}")
         x /= nrm
-    return x @ _sbmv(k, 1.0, kb, x, lower=1) / (x @ _sbmv(k, 1.0, mb, x, lower=1))
+    return x @ band_matvec(kb, x) / (x @ band_matvec(mb, x))
 
 
 @serial_blas
@@ -168,11 +155,9 @@ def solve_spectrum(op, count):
     except sla.LinAlgError as exc:
         raise NumericalError("mass matrix is not positive definite") from exc
 
-    # band_to_dense mirrors both triangles, so the transposes hold the same
-    # values as F-contiguous views and LAPACK factors them in place; the
-    # dense eigh is the one call that gains from BLAS threads
+    # the dense eigh is the one call that gains from BLAS threads
     with entry_threads():
-        w, v = sla.eigh(band_to_dense(kb).T, band_to_dense(mb).T,
+        w, v = sla.eigh(band_to_dense(kb), band_to_dense(mb),
                         subset_by_index=(0, count - 1),
                         overwrite_a=True, overwrite_b=True)
     if w[0] <= 0:
@@ -181,23 +166,22 @@ def solve_spectrum(op, count):
     # shifted inverse iteration plus Rayleigh quotient on the banded pencil
     k = kb.shape[0] - 1
     k3, m3 = _gbsv_form(kb), _gbsv_form(mb)
-    kb, mb = np.asfortranarray(kb), np.asfortranarray(mb)   # dsbmv reads these uncopied
     lams = np.empty(count)
     vecs = np.empty_like(v)
     for i in range(count):
         lam, vec = w[i], v[:, i]
         for _ in range(POLISH_SWEEPS):
-            _, _, z, info = _gbsv(k, k, k3 - lam * m3, _sbmv(k, 1.0, mb, vec, lower=1),
+            _, _, z, info = _gbsv(k, k, k3 - lam * m3, band_matvec(mb, vec),
                                   overwrite_ab=1, overwrite_b=1)
             if info != 0:
                 raise NumericalError(
                     f"mode {i + 1} polish: shifted solve failed (gbsv info {info})")
-            nrm = np.sqrt(z @ _sbmv(k, 1.0, mb, z, lower=1))   # NaN or inf for a non-finite z
+            nrm = np.sqrt(z @ band_matvec(mb, z))   # NaN or inf for a non-finite z
             if not np.isfinite(nrm) or nrm == 0.0:
                 raise NumericalError(
                     f"mode {i + 1} polish: shifted-solve iterate has M-norm {nrm}")
             vec = z / nrm
-            lam = vec @ _sbmv(k, 1.0, kb, vec, lower=1)
+            lam = vec @ band_matvec(kb, vec)
         lams[i] = lam
         vecs[:, i] = vec
     order = np.argsort(lams, kind="stable")
@@ -210,7 +194,7 @@ def solve_spectrum(op, count):
     # deviations around the inverse-iteration floor; one Cholesky pass
     # against the measured Gram restores M-orthonormality to roundoff and
     # mixes only O(deviation) of near neighbors into each mode
-    gram = vecs.T @ _band_times(mb, vecs)
+    gram = vecs.T @ band_matvec(mb, vecs)
     try:
         chol = sla.cholesky(gram, lower=False)
     except sla.LinAlgError as exc:
@@ -228,7 +212,7 @@ def solve_spectrum(op, count):
             t = -t
         traces[i] = t
         vec = vecs[:, i]
-        r[:, i] = _sbmv(k, 1.0, kb, vec, lower=1) - lams[i] * _sbmv(k, 1.0, mb, vec, lower=1)
+        r[:, i] = band_matvec(kb, vec) - lams[i] * band_matvec(mb, vec)
     rw, info = _pbtrs(cb, r, lower=1)
     if info != 0:
         raise NumericalError(f"residual solve: pbtrs info {info}")
@@ -282,7 +266,7 @@ def validate_spectrum(sd):
     n = sd.trusted_count
     lam = sd.eigenvalues
     _, mb = sd.op.constrained_bands()
-    gram_dev = np.abs(sd.modes.T @ _band_times(mb, sd.modes) - np.eye(sd.count))
+    gram_dev = np.abs(sd.modes.T @ band_matvec(mb, sd.modes) - np.eye(sd.count))
 
     # each neighbor pair's gap over its upper eigenvalue, padded with inf at both ends
     gaps = np.concatenate(([np.inf], np.diff(lam) / lam[1:], [np.inf]))

@@ -129,6 +129,15 @@ def test_project_refuses_nonfinite_data(sd_const_128):
             project()
 
 
+def test_project_refuses_derivative_without_callable_data(sd_const_128):
+    # unchecked, the derivative was silently ignored for these forms of data
+    sd = sd_const_128
+    xs = np.linspace(0, 1, 4 * sd.op.n_elements + 1)
+    for y0 in (sd.modes[:, 0], (xs, np.sin(np.pi * xs))):
+        with pytest.raises(ValueError, match="^derivative is accepted only with a callable y0$"):
+            project_initial(sd, y0, lambda x: np.pi * np.cos(np.pi * x))
+
+
 # ---- free evolution and norms --------------------------------------------
 
 def test_evolve_free_identity_at_zero(sd_const_128, rng):
@@ -158,6 +167,16 @@ def test_evolve_free_group_property(sd_const_128, rng):
     b = evolve_free(state, 0.7)
     scale = sd_const_128.eigenvalues[5] * 0.7 * np.finfo(float).eps
     assert a.coefficients == pytest.approx(b.coefficients, rel=10 * scale)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_evolve_free_refuses_nonfinite_time(sd_const_128, t):
+    # unchecked, the coefficients came back NaN, for a NaN time with no warning
+    state = modal_state(sd_const_128, [1.0, 0.5j])
+    with pytest.raises(ValueError, match="^time must be finite"):
+        evolve_free(state, t)
+    back = evolve_free(evolve_free(state, -0.3), 0.3)   # finite negative times stay allowed
+    assert back.coefficients == pytest.approx(state.coefficients, rel=1e-14)
 
 
 def test_sobolev_norm_single_mode(sd_const_128):
@@ -191,6 +210,14 @@ def test_modal_state_refuses_nonfinite_coefficients(sd_const_128, bad):
     # unchecked, the state evolves and measures as NaN with no error
     with pytest.raises(ValueError, match="^coefficients must be finite$"):
         modal_state(sd_const_128, [bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0]], 5.0])
+def test_modal_state_refuses_non_vector_coefficients(sd_const_128, bad):
+    # unchecked, [[1, 2]] made a one-frequency state whose evolution, norm and
+    # null moments came back with the wrong shapes, and a scalar failed on len()
+    with pytest.raises(ValueError, match="^coefficients must be a 1-d sequence$"):
+        modal_state(sd_const_128, bad)
 
 
 # ---- phase integrals and Filon quadrature ---------------------------------

@@ -87,6 +87,14 @@ def test_gram_rejects_duplicate_frequencies():
         gram([2.0, 1.0, 2.0], 1.0)
 
 
+def test_gram_refuses_nonfinite_frequencies():
+    # unchecked, a NaN gave a NaN matrix with only a RuntimeWarning, and an
+    # infinite frequency was reported as a duplicate
+    for lam in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="^lambdas must be finite$"):
+            gram(lam, 1.0)
+
+
 def test_gram_repeated_call_returns_stored_matrix(sd_const_512):
     lam = sd_const_512.eigenvalues[:12]
     first = gram(lam, 0.37)

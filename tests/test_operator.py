@@ -4,7 +4,7 @@ import pytest
 from bischro import assemble, boundary_trace, constant_profile, solve_spectrum
 from bischro.operator import band_matvec, band_to_dense, hermite_shapes
 
-from .oracles import gauss_integral
+from .oracles import _sym_band_matvec, gauss_integral
 
 
 def element_matrices_closed_form(h):
@@ -39,6 +39,23 @@ def test_matrices_exactly_symmetric():
     K, M = map(band_to_dense, op.constrained_bands())
     assert np.array_equal(K, K.T)
     assert np.array_equal(M, M.T)
+
+
+def test_bands_and_dense_pencil_are_f_ordered_and_block_products_match_columns(rng):
+    # LAPACK and BLAS read the F-ordered arrays without a copy, and the mode
+    # Gram keeps its bits only through a C-ordered block of column products
+    op = assemble(constant_profile(), 16)
+    for band in (op.kband, op.mband, *op.constrained_bands()):
+        assert band.flags.f_contiguous
+        assert band_to_dense(band).flags.f_contiguous
+    real = rng.standard_normal((op.n_dof, 5))
+    for block in (real, real + 1j * rng.standard_normal(real.shape)):
+        for band in op.constrained_bands():
+            out = band_matvec(band, block)
+            assert out.flags.c_contiguous
+            cols = [_sym_band_matvec(band, col.real) + 1j * _sym_band_matvec(band, col.imag)
+                    if np.iscomplexobj(col) else _sym_band_matvec(band, col) for col in block.T]
+            assert np.array_equal(out, np.column_stack(cols))
 
 
 def test_mass_positive_definite_stiffness_positive():
