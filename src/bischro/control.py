@@ -11,12 +11,12 @@ the most recent (frequencies, horizon) from dynamics.gram, as does
 ExponentialSum.norm, so a moment/HUM pair at one horizon forms and
 conditions one Gram.  The HUM route steers exactly the modes of the
 state it is given.  moments_for_null and the HUM route refuse a
-steered mode whose trace lies below spectrum.TRACE_FLOOR.  The
-independent check is the forward solve: every control is verified by
-evolving the caller's state with the basis's own sigma(ell); the
-reported residual is never inferred from the linear algebra.  The
-forward solve evaluates its own phase table, separate from the Gram,
-once per (frequencies, horizon), so the two checks of a pair share it.
+steered mode whose trace lies below spectrum.TRACE_FLOOR.  Every
+control is verified by a forward solve that evolves the caller's state
+with the basis's own sigma(ell) and traces; the reported residual is
+never inferred from the linear algebra.  The solve's phase table is the
+same cached Gram, so the check tests the Gram solve and the map from
+state to moments, not the Gram's entries.
 """
 
 from __future__ import annotations
@@ -88,10 +88,9 @@ def _verified(state0, horizon, moments, beta, gs, method):
     The basis and sigma(ell) are those of ``state0``.  The norm is the
     waveform's ExponentialSum.norm, which reads the Gram cached for these
     frequencies and this horizon instead of forming another N x N phase
-    integral.  The residual comes from the forward solve, which evaluates
-    its own phase table (shared with the other check of the pair, never
-    the Gram entry), so the verification stays independent of the Gram
-    the control was solved with.
+    integral.  The residual is the H^-2 norm of the state the forward
+    solve reaches at the horizon, relative to the initial one; that solve
+    reads the same Gram as its phase table.
     """
     sd = state0.basis
     f = ExponentialSum(sd.eigenvalues[: len(beta)], beta)

@@ -18,12 +18,12 @@ so one Taylor series gives the panel weights of all modes and one
 vectorized kernel computes all their moments.
 
 The one cached exponential Gram (:func:`gram`) lives here too; the
-observability and control solves and ExponentialSum.norm all read it.
-The forward solve keeps its own cached phase table, so a control is
-never verified with the Gram it was solved with.  A table of a frequency
-set against itself is an inner-product Gram, Hermitian to the last bit,
-so the Gram, and the forward table of a waveform on the state's own
-frequencies, evaluate only the strict upper triangle and mirror the rest.
+observability and control solves, ExponentialSum.norm and the
+closed-form forward solve of a waveform on the state's own frequencies
+all read it, for that solve's phase table is the Gram by definition.
+Any other waveform gets its full table, uncached.  The Gram is an
+inner-product Gram, Hermitian to the last bit, so only its strict upper
+triangle is evaluated and the rest mirrored.
 """
 
 from __future__ import annotations
@@ -161,8 +161,10 @@ def sobolev_norm(state, theta):
     """Spectral-scale norm sqrt(sum lambda_n^(2 theta) |c_n|^2).
 
     theta = 1/2 is the clamped H^2 norm, theta = -1/2 the dual H^-2 norm,
-    theta = 0 the plain rho-weighted L^2 norm.
+    theta = 0 the plain rho-weighted L^2 norm.  A non-finite theta is refused.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     lam = state.frequencies
     return float(np.sqrt(np.sum(lam ** (2.0 * theta) * np.abs(state.coefficients) ** 2)))
 
@@ -255,10 +257,23 @@ def gram(lambdas, horizon):
 
 @functools.lru_cache(maxsize=1)
 def _gram(key, T):
-    """Unchecked GramSystem of frombuffer(key) on (0, T).  One entry serves
-    consecutive calls at one (lambda, T): a moment/HUM pair, their norms,
-    an observability cell."""
-    G = _hermitian_table(np.frombuffer(key), T)
+    """Unchecked GramSystem of lam = frombuffer(key) on (0, T).  One entry
+    serves consecutive calls at one (lambda, T): a moment/HUM pair, their
+    norms and forward checks, an observability cell.
+
+    Only the strict upper triangle is evaluated.  G is an inner-product
+    Gram, so the lower triangle is the conjugate mirror (evaluating it
+    gives the same bits) and the diagonal is exactly T.
+    """
+    lam = np.frombuffer(key)
+    n = len(lam)
+    rows, cols, upper, lower = _mirror_indices(n)
+    values = phase_integral(lam[cols] - lam[rows], T)
+    G = np.empty((n, n), dtype=complex)
+    flat = G.reshape(-1)
+    flat[upper] = values
+    flat[lower] = values.conj()
+    flat[:: n + 1] = T
     G.flags.writeable = False
     return GramSystem(matrix=G)
 
@@ -274,43 +289,15 @@ def _mirror_indices(n):
     return out
 
 
-def _hermitian_table(lam, T):
-    """H[m, n] = phase_integral(lam_n - lam_m, T) as a new writable array.
-
-    Only the strict upper triangle is evaluated.  H is an inner-product
-    Gram, so the lower triangle is the conjugate mirror (evaluating it
-    gives the same bits) and the diagonal is exactly T.
-    """
-    n = len(lam)
-    rows, cols, upper, lower = _mirror_indices(n)
-    values = phase_integral(lam[cols] - lam[rows], T)
-    H = np.empty((n, n), dtype=complex)
-    flat = H.reshape(-1)
-    flat[upper] = values
-    flat[lower] = values.conj()
-    flat[:: n + 1] = T
-    return H
-
-
-@functools.lru_cache(maxsize=1)
-def _forward_phases(state_key, waveform_key, T):
-    """Read-only P[n, k] = integral_0^T exp(i (omega_k - lambda_n) s) ds of the
-    state frequencies frombuffer(state_key) against the waveform frequencies
-    frombuffer(waveform_key).  One entry serves the moment and HUM checks of
-    a pair, and it is never the Gram entry the controls were solved with."""
-    lam = np.frombuffer(state_key)
-    if waveform_key == state_key:
-        P = _hermitian_table(lam, T)
-    else:
-        P = phase_integral(-np.subtract.outer(lam, np.frombuffer(waveform_key)), T)
-    P.flags.writeable = False
-    return P
-
-
 def phase_integral(omega, horizon):
-    """integral_0^T exp(i omega t) dt, elementwise, stable near omega = 0."""
+    """integral_0^T exp(i omega t) dt, elementwise, stable near omega = 0.
+
+    A non-finite horizon is refused; a negative one is allowed.
+    """
     omega = np.asarray(omega, dtype=float)
     T = float(horizon)
+    if not math.isfinite(T):
+        raise ValueError(f"horizon must be finite, got {T!r}")
     z = omega * T
     small = np.abs(z) < 1e-2
     out = np.asarray((np.exp(1j * z) - 1.0) / (1j * np.where(small, 1.0, omega)))
@@ -395,10 +382,9 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
 
     A sigma_l other than ``sd.sigma_at_right_end()`` or a state of another
     basis is refused.  ``f`` is an :class:`ExponentialSum` (moments
-    integrate in closed form, from a phase table cached for the most
-    recent state frequencies, waveform frequencies and horizon) or a
-    ``(ts, fs)`` tabulation on a uniform grid covering [0, horizon]
-    (Filon-Simpson moments).  A non-finite
+    integrate in closed form; on the state's own frequencies the phase
+    table is the cached Gram) or a ``(ts, fs)`` tabulation on a uniform
+    grid covering [0, horizon] (Filon-Simpson moments).  A non-finite
     tabulation, or one with fewer than SAMPLES_PER_PERIOD points per period
     of the fastest retained mode, is refused rather than silently dephased.
     """
@@ -410,7 +396,12 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
     if isinstance(f, ExponentialSum):
         if len(f) == 0:
             return evolve_free(state0, horizon)
-        phases = _forward_phases(lam.tobytes(), f.frequencies.tobytes(), horizon)
+        key = lam.tobytes()
+        if f.frequencies.tobytes() == key:
+            # P[n, k] = integral_0^T exp(i (lambda_k - lambda_n) s) ds is the Gram
+            phases = _gram(key, horizon).matrix
+        else:
+            phases = phase_integral(-np.subtract.outer(lam, f.frequencies), horizon)
         moments = np.sum(phases * f.weights, axis=1)
     else:
         ts, fs, dt = _uniform_grid(*f)

@@ -171,8 +171,17 @@ class DiscreteOperator:
         return e, xi
 
     def evaluate(self, u_full, x, derivative=0):
-        """Evaluate the piecewise-cubic reconstruction (or a derivative) at x."""
-        scalar = np.asarray(x).ndim == 0
+        """Evaluate the piecewise-cubic reconstruction, or its first or second
+        derivative, at abscissae x in [0, length]; a derivative outside
+        {0, 1, 2} and non-finite or out-of-range abscissae are refused."""
+        if derivative not in (0, 1, 2):
+            raise ValueError(f"derivative must be 0, 1 or 2, got {derivative!r}")
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        if not np.isfinite(x).all():
+            raise ValueError("abscissae must be finite")
+        if np.any((x < -1e-12) | (x > self.profile.length * (1 + 1e-12))):
+            raise ValueError("abscissae outside [0, length]")
         u_full = self.expand(np.asarray(u_full))
         e, xi = self._locate(x)
         N, dN, d2N = hermite_shapes(xi, self.h)

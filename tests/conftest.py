@@ -77,9 +77,5 @@ def rng():
 
 @pytest.fixture()
 def cold_gram_cache():
-    """Empty both phase-table caches: the Gram with its condition, and the
-    forward-check table."""
-    def clear():
-        bischro.dynamics._gram.cache_clear()
-        bischro.dynamics._forward_phases.cache_clear()
-    return clear
+    """Empty the one exponential-table cache: the Gram with its condition."""
+    return bischro.dynamics._gram.cache_clear

@@ -20,6 +20,7 @@ from bischro import (
 )
 
 from .oracles import exponential_energy
+from .test_dynamics import _direct_forward
 
 
 def test_zero_state_gives_zero_moments(sd_const_128):
@@ -313,36 +314,30 @@ def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_ca
     observability_constants(sd, T, N)
     # the Gram once, and the weight-normalized matrix of the constants
     assert calls == [(N, N), (N, N)]
-    # the strict upper triangle of the Gram once (every norm reads it), and
-    # of one independent forward table, which both controls' checks read
-    assert phases == [(N * (N - 1) // 2,), (N * (N - 1) // 2,)]
+    # the strict upper triangle of the Gram once: the solves, every norm and
+    # both controls' forward checks read it
+    assert phases == [(N * (N - 1) // 2,)]
 
 
-def _full_forward_table(state_key, waveform_key, T):
-    # the forward check's table as every entry was once formed: in full, uncached
-    lam = np.frombuffer(state_key)
-    return phase_integral(-np.subtract.outer(lam, np.frombuffer(waveform_key)), T)
+def _residual_from_full_table(state, f, T):
+    # the forward check's residual with a full phase table formed afresh
+    final = modal_state(state.basis, _direct_forward(state, f, T))
+    return float(sobolev_norm(final, -0.5) / sobolev_norm(state, -0.5))
 
 
 @pytest.mark.parametrize("N", [8, 32, 102])
-def test_pair_residuals_match_uncached_forward_table(sd_const_2048, rng, N, monkeypatch,
-                                                     cold_gram_cache):
+def test_pair_residuals_match_uncached_forward_table(sd_const_2048, rng, N, cold_gram_cache):
     sd = sd_const_2048
     sigma_l = sd.sigma_at_right_end()
-
-    def pair(state, T):
-        mom = synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
-        hum = synthesize_hum_control(state, sd, T, N, sigma_l)
-        return mom.residual_final, hum.residual_final
-
     for T in (0.01, 0.5):
         state = modal_state(sd, rng.standard_normal(N) + 1j * rng.standard_normal(N))
         cold_gram_cache()
-        cached = pair(state, T)
-        cold_gram_cache()
-        with monkeypatch.context() as m:
-            m.setattr(bischro.dynamics, "_forward_phases", _full_forward_table)
-            assert pair(state, T) == cached
+        mom = synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, T)
+        hum = synthesize_hum_control(state, sd, T, N, sigma_l)
+        # the moment control is verified on the state its moments encode
+        mom_state = modal_state(sd, -1j * sigma_l * sd.traces[:N] * mom.moments)
+        assert mom.residual_final == _residual_from_full_table(mom_state, mom.waveform(), T)
+        assert hum.residual_final == _residual_from_full_table(state, hum.waveform(), T)
 
 
 def _closed_form_norm(frequencies, weights, T):

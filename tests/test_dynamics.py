@@ -20,8 +20,7 @@ from bischro import (
     sobolev_norm,
     solve_spectrum,
 )
-from bischro.dynamics import (SAMPLES_PER_PERIOD, _filon_moments, _forward_phases,
-                              _uniform_grid, gram)
+from bischro.dynamics import SAMPLES_PER_PERIOD, _filon_moments, _gram, _uniform_grid, gram
 
 from .oracles import gauss_integral, rk_controlled
 
@@ -200,6 +199,14 @@ def test_free_evolution_conserves_every_scale(sd_const_128, rng):
             assert sobolev_norm(evolve_free(state, t), theta) == pytest.approx(e0, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_sobolev_norm_refuses_nonfinite_theta(sd_const_128, theta):
+    # unchecked, inf gave inf, -inf gave 0.0 and NaN gave NaN, with no warning
+    state = modal_state(sd_const_128, [1.0, 0.5j])
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        sobolev_norm(state, theta)
+
+
 def test_modal_state_rejects_untrusted_length(sd_const_128):
     with pytest.raises(ValueError, match="trusted"):
         modal_state(sd_const_128, np.ones(sd_const_128.trusted_count + 1))
@@ -241,6 +248,20 @@ def test_phase_integral_array_matches_scalar_calls_bitwise():
         assert isinstance(single, complex)
         assert single == out[idx]
     assert phase_integral(np.array(0.0), T) == complex(T)
+
+
+@pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])
+def test_phase_integral_refuses_nonfinite_horizon(horizon):
+    # unchecked, NaN came back silently and inf with RuntimeWarnings
+    with pytest.raises(ValueError, match="^horizon must be finite"):
+        phase_integral([0.0, 1.0], horizon)
+
+
+def test_phase_integral_allows_negative_horizon():
+    # integral_0^-T exp(i omega t) dt = -integral_0^T exp(-i omega u) du
+    for omega in (0.0, 1e-3, 2.5, 431.0):
+        expected = -phase_integral(omega, 0.6).conjugate()
+        assert phase_integral(omega, -0.6) == pytest.approx(expected, rel=1e-14)
 
 
 def filon(ts, fs, omegas):
@@ -536,8 +557,8 @@ def test_forward_table_general_branch_unchanged(sd_const_128, rng, cold_gram_cac
         assert out.coefficients.tobytes() == _direct_forward(state, f, T).tobytes()
 
 
-def test_forward_table_separate_read_only_and_rebuilt_one_ulp_away(sd_const_128,
-                                                                    cold_gram_cache):
+def test_forward_table_read_only_and_rebuilt_one_ulp_away(sd_const_128, cold_gram_cache):
+    # on the state's own frequencies the forward table is the cached Gram
     sd = sd_const_128
     N, T = 8, 0.37
     lam = sd.eigenvalues[:N]
@@ -547,17 +568,15 @@ def test_forward_table_separate_read_only_and_rebuilt_one_ulp_away(sd_const_128,
     sigma_l = sd.sigma_at_right_end()
     cold_gram_cache()
     evolve_controlled(state, sd, sigma_l, f, T)
-    built = _forward_phases.cache_info().misses
+    built = _gram.cache_info().misses
     evolve_controlled(state, sd, sigma_l, f, T)
-    assert _forward_phases.cache_info().misses == built
-    table = _forward_phases(key, key, T)
+    table = gram(lam, T).matrix
+    assert _gram.cache_info().misses == built
     assert not table.flags.writeable
-    assert table is not gram(lam, T).matrix
-    assert table.tobytes() == gram(lam, T).matrix.tobytes()
     T_up = np.nextafter(T, 1.0)
     out = evolve_controlled(state, sd, sigma_l, f, T_up)
-    assert _forward_phases.cache_info().misses == built + 1
-    assert _forward_phases(key, key, T_up) is not table
+    assert _gram.cache_info().misses == built + 1
+    assert _gram(key, T_up).matrix is not table
     assert out.coefficients.tobytes() == _direct_forward(state, f, T_up).tobytes()
 
 

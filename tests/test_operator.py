@@ -173,3 +173,22 @@ def test_element_count_must_be_an_integer(elements):
     # int() would silently build 20 elements from 20.7
     with pytest.raises(TypeError, match="element count must be an integer"):
         assemble(constant_profile(), elements)
+
+
+@pytest.mark.parametrize("x, derivative, message", [
+    (0.5, -1, "^derivative must be 0, 1 or 2"),
+    (0.5, 3, "^derivative must be 0, 1 or 2"),
+    (-1.0, 0, r"^abscissae outside \[0, length\]$"),
+    ([0.5, 2.0], 0, r"^abscissae outside \[0, length\]$"),
+    ([0.5, np.nan], 0, "^abscissae must be finite$"),
+    (np.inf, 1, "^abscissae must be finite$"),
+])
+def test_evaluate_refuses_bad_derivative_and_abscissae(sd_const_128, x, derivative, message):
+    # unchecked, -1 gave the curvature, 3 an IndexError, x outside [0, 1]
+    # extrapolated the end cubics, and NaN warned in an integer cast
+    op = sd_const_128.op
+    mode = sd_const_128.modes[:, 0]
+    with pytest.raises(ValueError, match=message):
+        op.evaluate(mode, x, derivative)
+    # abscissae within rounding of the ends are accepted
+    assert np.isfinite(op.evaluate(mode, [-1e-13, 1.0 + 1e-13])).all()
