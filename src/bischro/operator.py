@@ -10,12 +10,16 @@ element, which integrates every constant-coefficient entry exactly
 (element integrands are at most degree six) and is adequate for smooth
 variable coefficients.  Both matrices are stored in symmetric lower-band
 form with half-bandwidth 3, so the memory cost is linear in E.  The
-bands, like the dense copies made only where the eigensolver needs
-them, are F-ordered: the layout LAPACK and BLAS read without a copy.
+bands are F-ordered, the layout LAPACK and BLAS read without a copy.
+So is the one dense form, made only for the eigensolver's dense
+``eigh`` (:func:`band_to_dense`): it holds the lower triangle alone,
+in a mapping whose upper-triangle pages are never written, so only
+about half of its n^2 entries become resident.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,14 +77,29 @@ def trusted_count(elements, modes):
 
 
 def band_to_dense(band):
-    """Expand symmetric lower-band storage band[i, j] = A[j+i, j] to F-ordered dense."""
+    """Symmetric lower-band storage band[i, j] = A[j+i, j] to an F-ordered n x n array
+    whose lower triangle holds A; the upper triangle is never written.
+
+    The array lives in its own anonymous mapping, zero-filled by the kernel and
+    advised against huge pages where the platform allows, so the pages of the
+    upper triangle take no memory until something touches them; with LAPACK's
+    ``uplo = 'L'`` nothing does.  A mapping that cannot be made is a
+    MemoryError naming the n-square pencil.
+    """
     n = band.shape[1]
-    out = np.zeros((n, n), order="F")
+    try:
+        buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise MemoryError(f"cannot allocate a {n}-square dense pencil: {exc}") from exc
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        try:
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:   # e.g. EINVAL from a kernel built without huge pages
+            pass
+    out = np.frombuffer(buf, dtype=float).reshape((n, n), order="F")
     for i in range(band.shape[0]):
         idx = np.arange(n - i)
         out[idx + i, idx] = band[i, : n - i]
-        if i:
-            out[idx, idx + i] = band[i, : n - i]
     return out
 
 

@@ -1,9 +1,12 @@
 """Generalized symmetric-definite eigensolve and spectral validation.
 
 The pencil K phi = lambda M phi from :mod:`bischro.operator` is solved
-densely (Cholesky reduction inside LAPACK), then every returned pair is
-polished with two shifted inverse-iteration steps on the banded pencil
-and its eigenvalue replaced by the Rayleigh quotient.  The polish matters:
+densely (Cholesky reduction inside LAPACK) from the lower triangles that
+operator.band_to_dense writes, which LAPACK factors in place without a
+finiteness scan; a band with a non-finite entry is refused before it is
+densified.  Then every returned pair is polished with two shifted
+inverse-iteration steps on the banded pencil and its eigenvalue replaced
+by the Rayleigh quotient.  The polish matters:
 the raw dense solve carries an eps * lambda_max backward error that
 pollutes the low eigenvalues well above the element discretization error.
 A polish sweep or lambda_max power iteration that breaks down raises
@@ -150,8 +153,13 @@ def solve_spectrum(op, count):
     if count > op.n_dof:
         raise ValueError(f"count={count} exceeds constrained dimension {op.n_dof}")
     kb, mb = op.constrained_bands()
+    # the entries band_to_dense copies; eigh and cholesky_banded skip their
+    # own O(n^2) and O(n) finiteness scans
+    for name, band in (("stiffness", kb), ("mass", mb)):
+        if not all(np.isfinite(band[i, : band.shape[1] - i]).all() for i in range(len(band))):
+            raise ValueError(f"{name} matrix has non-finite entries")
     try:
-        cb = sla.cholesky_banded(mb, lower=True)
+        cb = sla.cholesky_banded(mb, lower=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NumericalError("mass matrix is not positive definite") from exc
 
@@ -159,7 +167,7 @@ def solve_spectrum(op, count):
     with entry_threads():
         w, v = sla.eigh(band_to_dense(kb), band_to_dense(mb),
                         subset_by_index=(0, count - 1),
-                        overwrite_a=True, overwrite_b=True)
+                        lower=True, overwrite_a=True, overwrite_b=True, check_finite=False)
     if w[0] <= 0:
         raise NumericalError(f"nonpositive eigenvalue {w[0]:.6e} returned")
 

@@ -163,6 +163,12 @@ def _sym_band_matvec(band, x):
                       lower=1)
 
 
+def symmetrize(lower):
+    """The full symmetric matrix whose lower triangle ``lower`` holds; nothing
+    above the diagonal of ``lower`` is read."""
+    return np.tril(lower) + np.tril(lower, -1).T
+
+
 def _lu_band(band):
     """Symmetric lower band to the (2k+1, n) form scipy's solve_banded takes."""
     k = band.shape[0] - 1

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import bischro.cli
+import bischro.operator
 import bischro.spectrum
 from bischro import ConfigError, assemble, build_profile, parse_config
 from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
@@ -330,9 +332,10 @@ def test_cli_polish_breakdown_exits_numerical(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_dense_pencil_allocation_failure_exits_numerical(tmp_path, monkeypatch, capsys):
-    def unallocatable(band):
-        raise MemoryError(f"cannot allocate a {band.shape[1]}-square dense pencil")
-    monkeypatch.setattr(bischro.spectrum, "band_to_dense", unallocatable)
+    # mmap fails with an OSError, which the CLI would report as a config error
+    def unmappable(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    monkeypatch.setattr(bischro.operator.mmap, "mmap", unmappable)
     cfg = _write(tmp_path, MINIMAL)
     out = tmp_path / "dense"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from bischro import assemble, boundary_trace, constant_profile, solve_spectrum
 from bischro.operator import band_matvec, band_to_dense, hermite_shapes
 
-from .oracles import _sym_band_matvec, gauss_integral
+from .oracles import _sym_band_matvec, gauss_integral, symmetrize
 
 
 def element_matrices_closed_form(h):
@@ -26,8 +27,8 @@ def element_matrices_closed_form(h):
 
 def test_single_element_blocks_match_closed_forms():
     op = assemble(constant_profile(length=1.0), 8)
-    K = band_to_dense(op.kband)
-    M = band_to_dense(op.mband)
+    K = symmetrize(band_to_dense(op.kband))
+    M = symmetrize(band_to_dense(op.mband))
     k_ref, m_ref = element_matrices_closed_form(op.h)
     # first element block is pristine (no overlap from the left)
     assert K[:2, :4] == pytest.approx(k_ref[:2], rel=1e-13)
@@ -35,10 +36,37 @@ def test_single_element_blocks_match_closed_forms():
 
 
 def test_matrices_exactly_symmetric():
+    # the dense pencil is stored as its lower triangle; mirrored, it is exactly
+    # symmetric and its lower triangle is the band, entry for entry
     op = assemble(constant_profile(), 32)
-    K, M = map(band_to_dense, op.constrained_bands())
-    assert np.array_equal(K, K.T)
-    assert np.array_equal(M, M.T)
+    for band in op.constrained_bands():
+        lower = band_to_dense(band)
+        full = symmetrize(lower)
+        assert np.array_equal(full, full.T)
+        assert np.array_equal(np.tril(full), lower)
+        for i in range(band.shape[0]):
+            assert np.array_equal(np.diagonal(full, -i), band[i, : band.shape[1] - i])
+
+
+@pytest.mark.parametrize("elements", [64, 512])
+@pytest.mark.parametrize("profile", ["const_profile", "var_profile"])
+def test_lower_only_pencil_keeps_the_full_pencils_eigh_bits(request, profile, elements):
+    # band_to_dense never writes above the diagonal, and the generalized eigh
+    # the solve runs (uplo = 'L') returns the bits of the full symmetric pencil
+    op = assemble(request.getfixturevalue(profile), elements)
+    lower = [band_to_dense(band) for band in op.constrained_bands()]
+    for a in lower:
+        assert not np.triu(a, 1).any()
+    full = [symmetrize(a) for a in lower]
+
+    def eigh(a, b):
+        return sla.eigh(a, b, subset_by_index=(0, elements // 10 - 1), lower=True,
+                        overwrite_a=True, overwrite_b=True, check_finite=False)
+
+    w_full, v_full = eigh(*full)
+    w, v = eigh(*lower)
+    assert np.array_equal(w, w_full)
+    assert np.array_equal(v, v_full)
 
 
 def test_bands_and_dense_pencil_are_f_ordered_and_block_products_match_columns(rng):

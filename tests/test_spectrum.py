@@ -1,9 +1,16 @@
 import dataclasses
+import errno
+import mmap
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import bischro.operator
 import bischro.spectrum
 from bischro import (NumericalError, assemble, build_profile, constant_profile, solve_spectrum,
                      validate_spectrum)
@@ -111,6 +118,48 @@ def test_count_must_be_an_integer_before_any_densify(const_profile, monkeypatch)
             solve_spectrum(op, count)
 
 
+@pytest.mark.parametrize("name, coefficient", [
+    ("sigma", lambda x: np.where(x > 0.5, np.nan, 1.0)),
+    ("rho", lambda x: np.where(x > 0.5, np.nan, 1.0)),
+    ("q", lambda x: np.full_like(x, np.inf)),
+])
+def test_nonfinite_pencil_refused_before_any_densify(const_profile, monkeypatch, name,
+                                                     coefficient):
+    # eigh does not scan the dense pencil for NaN or inf; the solve checks the bands
+    op = assemble(dataclasses.replace(const_profile, **{name: coefficient}), 16)
+
+    def densify(band):
+        raise AssertionError("densified a non-finite pencil")
+
+    monkeypatch.setattr(bischro.spectrum, "band_to_dense", densify)
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        solve_spectrum(op, 4)
+
+
+def test_unmappable_dense_pencil_is_a_memory_error(const_profile, monkeypatch):
+    def unmappable(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    monkeypatch.setattr(bischro.operator.mmap, "mmap", unmappable)
+    with pytest.raises(MemoryError, match="cannot allocate a 30-square dense pencil"):
+        solve_spectrum(assemble(const_profile, 16), 4)
+
+
+def test_refused_huge_page_advice_keeps_the_solve(const_profile, monkeypatch):
+    advised = []
+
+    class Unadvisable(mmap.mmap):
+        def madvise(self, *args):
+            advised.append(args)
+            raise OSError(errno.EINVAL, "Invalid argument")
+    op = assemble(const_profile, 64)
+    sd = solve_spectrum(op, 6)
+    monkeypatch.setattr(bischro.operator.mmap, "mmap", Unadvisable)
+    again = solve_spectrum(op, 6)
+    assert advised == [(mmap.MADV_NOHUGEPAGE,)] * 2
+    assert np.array_equal(again.eigenvalues, sd.eigenvalues)
+    assert np.array_equal(again.modes, sd.modes)
+
+
 def test_random_rayleigh_quotients_bound_smallest_eigenvalue(sd_const_128, rng):
     sd = sd_const_128
     op = sd.op
@@ -207,9 +256,9 @@ def test_residual_gate_separates_good_from_corrupt(const_profile):
 
 
 def test_eigensolve_makes_no_private_dense_copies(const_profile):
-    # the dense pencil is materialized once (K and M, two n^2 arrays) and
-    # LAPACK factors it in place; a copy of either would push the peak
-    # past 2.5 matrices
+    # the dense pencil lives in mappings of its own, which tracemalloc does
+    # not see, and LAPACK factors it in place; numpy allocates no n^2 array
+    # at all, not even a half-size one
     import tracemalloc
     op = assemble(const_profile, 512)
     solve_spectrum(op, 12)
@@ -219,7 +268,37 @@ def test_eigensolve_makes_no_private_dense_copies(const_profile):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * op.n_dof**2 * 8
+    assert peak < 0.5 * op.n_dof**2 * 8
+
+
+def test_eigensolve_keeps_only_the_lower_pencil_resident():
+    # two lower triangles are one n^2 matrix of 8-byte entries; the pages
+    # that straddle the diagonal or a column end add about 1024 / n of one
+    # (0.5 at n = 2046), the eigh's workspace and modes a little more.  The
+    # full symmetric pencil grows the peak by about 2.3.
+    src = str(Path(bischro.spectrum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    # the peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so
+    # a child starts at the peak of the test process it was forked from
+    code = """
+from bischro import assemble, constant_profile, solve_spectrum
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmHWM:"))
+
+solve_spectrum(assemble(constant_profile(), 64), 6)  # libraries and BLAS buffers
+op = assemble(constant_profile(), 1024)
+before = peak()
+solve_spectrum(op, 12)
+print((peak() - before) / (8 * op.n_dof**2))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.9
 
 
 @pytest.mark.parametrize("failure", ["nan", "singular"])
