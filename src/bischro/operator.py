@@ -12,9 +12,10 @@ variable coefficients.  Both matrices are stored in symmetric lower-band
 form with half-bandwidth 3, so the memory cost is linear in E.  The
 bands are F-ordered, the layout LAPACK and BLAS read without a copy.
 So is the one dense form, made only for the eigensolver's dense
-``eigh`` (:func:`band_to_dense`): it holds the lower triangle alone,
-in a mapping whose upper-triangle pages are never written, so only
-about half of its n^2 entries become resident.
+solve (:func:`band_to_dense`): it holds the lower triangle alone, in a
+mapping whose upper-triangle pages are never written, so at most about
+half of its n^2 entries become resident, and of a band that LAPACK only
+reads (the mass matrix's Cholesky factor), only the pages it crosses.
 """
 
 from __future__ import annotations

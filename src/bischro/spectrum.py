@@ -1,12 +1,17 @@
 """Generalized symmetric-definite eigensolve and spectral validation.
 
 The pencil K phi = lambda M phi from :mod:`bischro.operator` is solved
-densely (Cholesky reduction inside LAPACK) from the lower triangles that
-operator.band_to_dense writes, which LAPACK factors in place without a
-finiteness scan; a band with a non-finite entry is refused before it is
-densified.  Then every returned pair is polished with two shifted
-inverse-iteration steps on the banded pencil and its eigenvalue replaced
-by the Rayleigh quotient.  The polish matters:
+densely by the four kernels of LAPACK's dsygvx, called one by one on the
+lower triangles that operator.band_to_dense writes: dpotrf factors M in
+place, its factor is cut to its band (below which it is an exact zero)
+and densified again before K is densified, dsygst reduces K in place,
+dsyevx solves for the lowest pairs and dtrsm maps the vectors back.  So
+one full lower triangle is resident at a time, and no kernel scans the
+dense arrays for NaN or inf; a band with a non-finite entry is refused
+before it is densified, and a kernel that reports failure raises
+NumericalError naming it.  Then every returned pair is polished with two
+shifted inverse-iteration steps on the banded pencil and its eigenvalue
+replaced by the Rayleigh quotient.  The polish matters:
 the raw dense solve carries an eps * lambda_max backward error that
 pollutes the low eigenvalues well above the element discretization error.
 A polish sweep or lambda_max power iteration that breaks down raises
@@ -100,8 +105,41 @@ class SpectralData:
         return float(p.sigma(p.length))
 
 
-# the kernels the solve calls directly after its dense eigh (module docstring)
-_gbsv, _pbtrs = sla.get_lapack_funcs(("gbsv", "pbtrs"), dtype=np.float64)
+# dsygvx's four kernels, which the dense eigh calls one by one, and the
+# kernels the solve calls after it (module docstring)
+_potrf, _sygst, _syevx, _sygvx_lwork, _gbsv, _pbtrs = sla.get_lapack_funcs(
+    ("potrf", "sygst", "syevx", "sygvx_lwork", "gbsv", "pbtrs"), dtype=np.float64)
+_trsm = sla.get_blas_funcs("trsm", dtype=np.float64)
+
+
+def _dense_eigh(kb, mb, count):
+    """Lowest ``count`` eigenpairs of the banded pencil, bit for bit those of
+    ``sla.eigh(K, M, subset_by_index=(0, count - 1), lower=True)``: the
+    potrf, sygst, syevx and trsm that its dsygvx runs, called with the same
+    arguments.  Below its band the Cholesky factor of banded M is an exact
+    zero, so the factor is cut to a band and re-densified before K is, and
+    one full lower triangle (K's) plus the factor's band pages is resident
+    at a time.  A kernel's failure is a NumericalError naming it.
+    """
+    n = kb.shape[1]
+    c, info = _potrf(band_to_dense(mb), lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"dense eigensolve: mass factor failed (potrf info {info})")
+    lb = np.zeros(mb.shape, order="F")
+    for i in range(len(lb)):
+        lb[i, : n - i] = np.diagonal(c, -i)
+    del c   # the last reference to M's dense mapping, which unmaps it
+    factor = band_to_dense(lb)
+    a, info = _sygst(band_to_dense(kb), factor, lower=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"dense eigensolve: reduction failed (sygst info {info})")
+    w, z, m, _, info = _syevx(a, compute_v=1, range="I", il=1, iu=count, lower=1,
+                              abstol=0.0, lwork=int(_sygvx_lwork(n, uplo="L")[0]),
+                              overwrite_a=1)
+    if info != 0 or m < count:
+        raise NumericalError(f"dense eigensolve: standard eigensolve failed "
+                             f"(syevx info {info}, {m} of {count} eigenpairs)")
+    return w[:count], _trsm(1.0, factor, z, lower=1, trans_a=1, overwrite_b=1)
 
 
 def _gbsv_form(band):
@@ -163,11 +201,9 @@ def solve_spectrum(op, count):
     except sla.LinAlgError as exc:
         raise NumericalError("mass matrix is not positive definite") from exc
 
-    # the dense eigh is the one call that gains from BLAS threads
+    # the dense eigh's kernels are the calls that gain from BLAS threads
     with entry_threads():
-        w, v = sla.eigh(band_to_dense(kb), band_to_dense(mb),
-                        subset_by_index=(0, count - 1),
-                        lower=True, overwrite_a=True, overwrite_b=True, check_finite=False)
+        w, v = _dense_eigh(kb, mb, count)
     if w[0] <= 0:
         raise NumericalError(f"nonpositive eigenvalue {w[0]:.6e} returned")
 

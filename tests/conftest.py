@@ -6,6 +6,7 @@ import pytest
 
 import bischro.dynamics
 from bischro import assemble, build_profile, constant_profile, geometry, solve_spectrum
+from bischro._blas import _openblas
 
 VAR_PROFILE_SPEC = {
     "length": 1.0,
@@ -68,6 +69,20 @@ def sd_const_2048(const_profile):
 @pytest.fixture(scope="session")
 def sd_var_2048(var_profile):
     return _spectrum(var_profile, 2048, 206)
+
+
+@pytest.fixture
+def blas():
+    """The (get, set) pairs, each library set to two threads for the test."""
+    libs = _openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this process")
+    saved = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield libs
+    for (_, set_), n in zip(libs, saved):
+        set_(n)
 
 
 @pytest.fixture()

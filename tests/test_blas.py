@@ -1,5 +1,6 @@
 """Every entry point runs on one OpenBLAS thread and restores the count;
-only the dense eigh inside solve_spectrum runs at the caller's count."""
+only the dense eigh's four kernels inside solve_spectrum run at the caller's
+count."""
 
 import sys
 import threading
@@ -23,21 +24,7 @@ from bischro import (
     synthesize_moment_control,
     validate_spectrum,
 )
-from bischro._blas import _SERIAL, _openblas, serial_blas
-
-
-@pytest.fixture
-def blas():
-    """The (get, set) pairs, each library set to two threads for the test."""
-    libs = _openblas()
-    if not libs:
-        pytest.skip("no OpenBLAS loaded in this process")
-    saved = [get() for get, _ in libs]
-    for _, set_ in libs:
-        set_(2)
-    yield libs
-    for (_, set_), n in zip(libs, saved):
-        set_(n)
+from bischro._blas import _SERIAL, serial_blas
 
 
 def _counts(libs):
@@ -54,12 +41,12 @@ def _spy(seen, key, fn, libs):
 def test_dense_eigh_alone_runs_at_entry_counts(blas, monkeypatch):
     entry = _counts(blas)
     seen = {}
-    monkeypatch.setattr(bischro.spectrum.sla, "eigh",
-                        _spy(seen, "eigh", bischro.spectrum.sla.eigh, blas))
-    monkeypatch.setattr(bischro.spectrum, "boundary_trace",
-                        _spy(seen, "trace", bischro.spectrum.boundary_trace, blas))
+    for name in ("_potrf", "_sygst", "_syevx", "_trsm", "boundary_trace"):
+        monkeypatch.setattr(bischro.spectrum, name,
+                            _spy(seen, name, getattr(bischro.spectrum, name), blas))
     solve_spectrum(assemble(constant_profile(), 32), 4)
-    assert seen == {"eigh": [entry], "trace": [[1] * len(blas)] * 4}
+    assert seen == {"_potrf": [entry], "_sygst": [entry], "_syevx": [entry], "_trsm": [entry],
+                    "boundary_trace": [[1] * len(blas)] * 4}
     assert _counts(blas) == entry
 
 
@@ -76,7 +63,37 @@ def _dense_pencil_unallocatable(monkeypatch):
     return MemoryError, "dense pencil"
 
 
-@pytest.mark.parametrize("inject", [_polish_breakdown, _dense_pencil_unallocatable])
+def _misreport(kernel, position, value, message):
+    """Item ``position`` of what the spectrum's kernel handle ``kernel``
+    returns reads ``value``; the solve must raise ``message``."""
+    def inject(monkeypatch):
+        real = getattr(bischro.spectrum, kernel)
+
+        def call(*args, **kwargs):
+            out = list(real(*args, **kwargs))
+            out[position] = value
+            return tuple(out)
+
+        monkeypatch.setattr(bischro.spectrum, kernel, call)
+        return NumericalError, message
+    return inject
+
+
+@pytest.mark.parametrize("inject", [
+    _polish_breakdown,
+    _dense_pencil_unallocatable,
+    # the info of each dense kernel, and the count m of pairs syevx found (4 asked)
+    pytest.param(_misreport("_potrf", -1, 5, r"^dense eigensolve: mass factor failed "
+                                             r"\(potrf info 5\)$"), id="potrf_info"),
+    pytest.param(_misreport("_sygst", -1, -2, r"^dense eigensolve: reduction failed "
+                                              r"\(sygst info -2\)$"), id="sygst_info"),
+    pytest.param(_misreport("_syevx", -1, 2, r"^dense eigensolve: standard eigensolve failed "
+                                             r"\(syevx info 2, 4 of 4 eigenpairs\)$"),
+                 id="syevx_info"),
+    pytest.param(_misreport("_syevx", 2, 3, r"^dense eigensolve: standard eigensolve failed "
+                                            r"\(syevx info 0, 3 of 4 eigenpairs\)$"),
+                 id="syevx_count"),
+])
 def test_threads_restored_after_solve_failure(blas, monkeypatch, inject):
     entry = _counts(blas)
     error, message = inject(monkeypatch)

@@ -8,6 +8,8 @@ import bischro.dynamics
 from bischro import (
     ConditioningError,
     ExponentialSum,
+    assemble,
+    constant_profile,
     evolve_controlled,
     gram,
     modal_state,
@@ -15,11 +17,12 @@ from bischro import (
     observability_constants,
     phase_integral,
     sobolev_norm,
+    solve_spectrum,
     synthesize_hum_control,
     synthesize_moment_control,
 )
 
-from .oracles import exponential_energy
+from .oracles import exact_beam_residual, exponential_energy, modal_residual
 from .test_dynamics import _direct_forward
 
 
@@ -398,3 +401,28 @@ def test_nonpositive_or_nonfinite_horizon_refused(sd_const_128, horizon):
     for call in calls:
         with pytest.raises(ValueError, match="horizon must be positive"):
             call()
+
+
+@pytest.mark.parametrize("elements", [256, 512])
+def test_exact_beam_residual_records_the_eigenvalue_error(sd_const_512, elements):
+    """A control synthesized on the discrete pencil, evolved on the exact
+    clamped beam (400 modes): state = mode 1 + mode 2, N = 12, T = 0.5,
+    14 computed modes.  Its H^-2 residual measures the error of the
+    discrete eigenvalues (a phase error delta lambda_n T per mode), which
+    the reported residual_final (about 1e-16) cannot see.  Measured:
+    1.47-1.49e-6 at E = 256 and 1.43-1.74e-6 at 512 (one and two BLAS
+    threads), 4.1e-5 at 1024 and 1.7e-4 at 2048: refinement makes the
+    control worse, because the eigenvalues' roundoff grows as h^-4.  A
+    more accurate eigensolver shows here as a smaller number."""
+    sd = sd_const_512 if elements == 512 else solve_spectrum(assemble(constant_profile(), 256), 14)
+    state = modal_state(sd, [1.0, 1.0] + [0.0] * 10)
+    horizon = 0.5
+    control = synthesize_moment_control(moments_for_null(state, sd, 1.0), sd, horizon)
+    # the oracle's evolution on the discrete modes is the package's forward solve
+    discrete = modal_residual(sd.eigenvalues[:12], sd.traces[:12], state.coefficients, control,
+                              horizon)
+    assert discrete < 1e-12 and control.residual_final < 1e-12
+    assert exact_beam_residual(state, dataclasses.replace(control, beta=0 * control.beta),
+                               horizon) == pytest.approx(1.0, rel=1e-14)
+    residual = exact_beam_residual(state, control, horizon)
+    assert 0.5 * 1.5e-6 < residual < 2.0 * 1.5e-6

@@ -52,7 +52,8 @@ def test_matrices_exactly_symmetric():
 @pytest.mark.parametrize("profile", ["const_profile", "var_profile"])
 def test_lower_only_pencil_keeps_the_full_pencils_eigh_bits(request, profile, elements):
     # band_to_dense never writes above the diagonal, and the generalized eigh
-    # the solve runs (uplo = 'L') returns the bits of the full symmetric pencil
+    # (uplo = 'L'), whose kernels the solve calls, returns the bits of the
+    # full symmetric pencil
     op = assemble(request.getfixturevalue(profile), elements)
     lower = [band_to_dense(band) for band in op.constrained_bands()]
     for a in lower:

@@ -16,7 +16,8 @@ from bischro import (NumericalError, assemble, build_profile, constant_profile, 
                      validate_spectrum)
 from bischro.operator import band_matvec
 
-from .oracles import CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum, wrapper_post_eigh
+from .oracles import (CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum, symmetrize,
+                      wrapper_post_eigh)
 
 # a smooth variable profile with every coefficient non-constant:
 # rho = 1 + x/2, sigma = 1 + 0.3 x + 0.2 x^2, q = 0.4 x (1 - x)
@@ -125,7 +126,7 @@ def test_count_must_be_an_integer_before_any_densify(const_profile, monkeypatch)
 ])
 def test_nonfinite_pencil_refused_before_any_densify(const_profile, monkeypatch, name,
                                                      coefficient):
-    # eigh does not scan the dense pencil for NaN or inf; the solve checks the bands
+    # the dense kernels do not scan the pencil for NaN or inf; the solve checks the bands
     op = assemble(dataclasses.replace(const_profile, **{name: coefficient}), 16)
 
     def densify(band):
@@ -155,7 +156,7 @@ def test_refused_huge_page_advice_keeps_the_solve(const_profile, monkeypatch):
     sd = solve_spectrum(op, 6)
     monkeypatch.setattr(bischro.operator.mmap, "mmap", Unadvisable)
     again = solve_spectrum(op, 6)
-    assert advised == [(mmap.MADV_NOHUGEPAGE,)] * 2
+    assert advised == [(mmap.MADV_NOHUGEPAGE,)] * 3   # M, its factor's band, K
     assert np.array_equal(again.eigenvalues, sd.eigenvalues)
     assert np.array_equal(again.modes, sd.modes)
 
@@ -272,10 +273,14 @@ def test_eigensolve_makes_no_private_dense_copies(const_profile):
 
 
 def test_eigensolve_keeps_only_the_lower_pencil_resident():
-    # two lower triangles are one n^2 matrix of 8-byte entries; the pages
-    # that straddle the diagonal or a column end add about 1024 / n of one
-    # (0.5 at n = 2046), the eigh's workspace and modes a little more.  The
-    # full symmetric pencil grows the peak by about 2.3.
+    # M is factored and its dense mapping released before K is densified,
+    # so one lower triangle (half an n^2 matrix of 8-byte entries) is
+    # resident at a time; the pages that straddle the diagonal or a column
+    # end add about 512 / n of one (0.25 at n = 2046), the band pages of
+    # M's factor as much again, the workspace and modes a little more.
+    # Measured: 1.16-1.18.  Two lower triangles resident together, as when
+    # LAPACK's dsygvx factors M and reduces K in one call, measure 1.63-1.66
+    # and the full symmetric pencil about 2.3.
     src = str(Path(bischro.spectrum.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -298,7 +303,7 @@ print((peak() - before) / (8 * op.n_dof**2))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 1.9
+    assert float(proc.stdout) < 1.4
 
 
 @pytest.mark.parametrize("failure", ["nan", "singular"])
@@ -346,23 +351,48 @@ SAMPLED_SIGMA_SPEC = {
 }
 
 
+PENCIL_SPECS = pytest.mark.parametrize(
+    "spec", [{"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0}, SAMPLED_SIGMA_SPEC],
+    ids=["constant", "sampled_sigma"])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("elements", [64, 512])
-@pytest.mark.parametrize("spec", [{"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0},
-                                  SAMPLED_SIGMA_SPEC], ids=["constant", "sampled_sigma"])
+@PENCIL_SPECS
+def test_dense_eigh_matches_scipy_eigh_bit_for_bit(blas, spec, elements, threads):
+    # potrf, sygst, syevx and trsm called one by one keep every bit of the
+    # dsygvx that sla.eigh runs on the full symmetric pencil, at one BLAS
+    # thread (pinned) and at two (the blas fixture's count)
+    from bischro._blas import serial_blas
+    kb, mb = assemble(build_profile(spec), elements).constrained_bands()
+    count = elements // 8
+
+    def both():
+        full = [symmetrize(bischro.operator.band_to_dense(band)) for band in (kb, mb)]
+        return (sla.eigh(*full, subset_by_index=(0, count - 1)),
+                bischro.spectrum._dense_eigh(kb, mb, count))
+
+    (w_ref, v_ref), (w, v) = (serial_blas(both) if threads == 1 else both)()
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("elements", [64, 512])
+@PENCIL_SPECS
 def test_post_eigh_kernels_match_the_wrapper_loop_bit_for_bit(monkeypatch, spec, elements):
     # the benchmark's control metrics sit at 1-2 ulp, so the direct LAPACK/BLAS
     # calls after the dense eigh must keep every bit of the wrapper-based loop
     from bischro._blas import serial_blas
     from bischro.spectrum import _estimate_lambda_max
-    dense, real_eigh = [], sla.eigh
+    dense, real_eigh = [], bischro.spectrum._dense_eigh
 
-    def eigh(*args, **kwargs):
-        w, v = real_eigh(*args, **kwargs)
-        dense.append((w.copy(), v.copy(order="K")))   # keep the F order eigh returns
+    def eigh(*args):
+        w, v = real_eigh(*args)
+        dense.append((w.copy(), v.copy(order="K")))   # keep the F order trsm returns
         return w, v
 
     op = assemble(build_profile(spec), elements)
-    monkeypatch.setattr(bischro.spectrum.sla, "eigh", eigh)
+    monkeypatch.setattr(bischro.spectrum, "_dense_eigh", eigh)
     sd = solve_spectrum(op, elements // 8)
     (w, v), = dense
     # solve_spectrum runs everything but its eigh on one BLAS thread, and a
