@@ -3,26 +3,27 @@
 The pencil K phi = lambda M phi from :mod:`bischro.operator` is solved
 densely by the four kernels of LAPACK's dsygvx, called one by one on the
 lower triangles that operator.band_to_dense writes: dpotrf factors M in
-place, its factor is cut to its band (below which it is an exact zero)
-and densified again before K is densified, dsygst reduces K in place,
-dsyevx solves for the lowest pairs and dtrsm maps the vectors back.  So
-one full lower triangle is resident at a time, and no kernel scans the
-dense arrays for NaN or inf; a band with a non-finite entry is refused
-before it is densified, and a kernel that reports failure raises
-NumericalError naming it.  Then every returned pair is polished with two
-shifted inverse-iteration steps on the banded pencil and its eigenvalue
-replaced by the Rayleigh quotient.  The polish matters:
-the raw dense solve carries an eps * lambda_max backward error that
-pollutes the low eigenvalues well above the element discretization error.
-A polish sweep or lambda_max power iteration that breaks down raises
-NumericalError rather than pass on an unpolished pair.
+place (the one refusal of an M that is not positive definite), its factor
+is cut to its band (below which it is an exact zero) and densified again
+before K is densified, dsygst reduces K in place, dsyevx solves for the
+lowest pairs and dtrsm maps the vectors back.  So one full lower triangle
+is resident at a time, and no kernel scans the dense arrays for NaN or
+inf; a band with a non-finite entry is refused before it is densified,
+and a kernel that reports failure raises NumericalError naming it.  Then
+every pair is polished with two shifted inverse-iteration steps on the
+banded pencil and its eigenvalue replaced by the Rayleigh quotient.  The
+polish matters: the raw dense solve carries an eps * lambda_max backward
+error that pollutes the low eigenvalues well above the element
+discretization error.  A polish sweep or lambda_max power iteration that
+breaks down, or a nonpositive polished eigenvalue, raises NumericalError.
 
-After the dense eigh the solve calls LAPACK directly, dgbsv for each
-shifted solve and dpbtrs for the lambda_max power iteration and, over all
-modes at once, the residuals, and takes every banded product from
-operator.band_matvec.  With the F-ordered pencil from assemble, an
-F-ordered (3k+1, n) band for dgbsv and an F-ordered residual block, the
-results match scipy's solve_banded/cho_solve_banded path bit for bit.
+M is factored once per solve: the band of dpotrf's factor also serves
+dpbtrs in the lambda_max power iteration and, over all modes at once, in
+the residuals; dgbsv does each shifted solve, and every banded product
+comes from operator.band_matvec.  With the F-ordered pencil from
+assemble, an F-ordered (3k+1, n) band for dgbsv and an F-ordered residual
+block, the results match scipy's solve_banded/cho_solve_banded path on
+the same factor band bit for bit.
 
 Eigenvectors are M-orthonormal with signs fixed so the right-end
 curvature trace of every mode is positive (the traces never vanish for
@@ -113,18 +114,20 @@ _trsm = sla.get_blas_funcs("trsm", dtype=np.float64)
 
 
 def _dense_eigh(kb, mb, count):
-    """Lowest ``count`` eigenpairs of the banded pencil, bit for bit those of
-    ``sla.eigh(K, M, subset_by_index=(0, count - 1), lower=True)``: the
-    potrf, sygst, syevx and trsm that its dsygvx runs, called with the same
-    arguments.  Below its band the Cholesky factor of banded M is an exact
-    zero, so the factor is cut to a band and re-densified before K is, and
-    one full lower triangle (K's) plus the factor's band pages is resident
-    at a time.  A kernel's failure is a NumericalError naming it.
+    """``(w, v, lb)``: the lowest ``count`` eigenpairs of the banded pencil,
+    bit for bit those of ``sla.eigh(K, M, subset_by_index=(0, count - 1),
+    lower=True)`` (the potrf, sygst, syevx and trsm its dsygvx runs, with
+    the same arguments), and the F-ordered lower band ``lb`` of M's
+    Cholesky factor, below which the factor is an exact zero.  ``lb`` is
+    re-densified before K is, so one full lower triangle (K's) plus the
+    factor's band pages is resident at a time.  A kernel's failure is a
+    NumericalError naming it.
     """
     n = kb.shape[1]
     c, info = _potrf(band_to_dense(mb), lower=1, clean=0, overwrite_a=1)
     if info != 0:
-        raise NumericalError(f"dense eigensolve: mass factor failed (potrf info {info})")
+        raise NumericalError(
+            f"dense eigensolve: mass matrix is not positive definite (potrf info {info})")
     lb = np.zeros(mb.shape, order="F")
     for i in range(len(lb)):
         lb[i, : n - i] = np.diagonal(c, -i)
@@ -139,7 +142,7 @@ def _dense_eigh(kb, mb, count):
     if info != 0 or m < count:
         raise NumericalError(f"dense eigensolve: standard eigensolve failed "
                              f"(syevx info {info}, {m} of {count} eigenpairs)")
-    return w[:count], _trsm(1.0, factor, z, lower=1, trans_a=1, overwrite_b=1)
+    return w[:count], _trsm(1.0, factor, z, lower=1, trans_a=1, overwrite_b=1), lb
 
 
 def _gbsv_form(band):
@@ -155,16 +158,16 @@ def _gbsv_form(band):
     return ab
 
 
-def _estimate_lambda_max(kb, mb, cb):
+def _estimate_lambda_max(kb, mb, lb):
     """Deterministic power iteration on M^{-1} K for a residual floor.
 
-    ``cb`` is the lower banded Cholesky factor of ``mb``.
+    ``lb`` is the lower banded Cholesky factor of ``mb``.
     """
     x = np.ones(kb.shape[1])
     x[::2] = -1.0
     x /= np.linalg.norm(x)
     for _ in range(POWER_ITERATIONS):
-        x, info = _pbtrs(cb, band_matvec(kb, x), lower=1, overwrite_b=1)
+        x, info = _pbtrs(lb, band_matvec(kb, x), lower=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"lambda_max power iteration: pbtrs info {info}")
         nrm = np.linalg.norm(x)
@@ -191,21 +194,14 @@ def solve_spectrum(op, count):
     if count > op.n_dof:
         raise ValueError(f"count={count} exceeds constrained dimension {op.n_dof}")
     kb, mb = op.constrained_bands()
-    # the entries band_to_dense copies; eigh and cholesky_banded skip their
-    # own O(n^2) and O(n) finiteness scans
+    # the entries band_to_dense copies, which no dense kernel scans
     for name, band in (("stiffness", kb), ("mass", mb)):
         if not all(np.isfinite(band[i, : band.shape[1] - i]).all() for i in range(len(band))):
             raise ValueError(f"{name} matrix has non-finite entries")
-    try:
-        cb = sla.cholesky_banded(mb, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NumericalError("mass matrix is not positive definite") from exc
 
     # the dense eigh's kernels are the calls that gain from BLAS threads
     with entry_threads():
-        w, v = _dense_eigh(kb, mb, count)
-    if w[0] <= 0:
-        raise NumericalError(f"nonpositive eigenvalue {w[0]:.6e} returned")
+        w, v, lb = _dense_eigh(kb, mb, count)
 
     # shifted inverse iteration plus Rayleigh quotient on the banded pencil
     k = kb.shape[0] - 1
@@ -245,7 +241,7 @@ def solve_spectrum(op, count):
         raise NumericalError("mode Gram matrix lost positive definiteness") from exc
     vecs = sla.solve_triangular(chol.T, vecs.T, lower=True).T
 
-    floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _estimate_lambda_max(kb, mb, cb)
+    floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _estimate_lambda_max(kb, mb, lb)
     traces = np.empty(count)
     # F-ordered, so each column's dot with its M^{-1}-weighted copy is contiguous
     r = np.empty((kb.shape[1], count), order="F")
@@ -257,7 +253,7 @@ def solve_spectrum(op, count):
         traces[i] = t
         vec = vecs[:, i]
         r[:, i] = band_matvec(kb, vec) - lams[i] * band_matvec(mb, vec)
-    rw, info = _pbtrs(cb, r, lower=1)
+    rw, info = _pbtrs(lb, r, lower=1)
     if info != 0:
         raise NumericalError(f"residual solve: pbtrs info {info}")
     residuals = np.array([np.sqrt(abs(r[:, i] @ rw[:, i])) for i in range(count)])

@@ -217,22 +217,22 @@ def _lu_band(band):
     return ab
 
 
-def wrapper_post_eigh(op, w, v, sweeps=2, power_iterations=50):
+def wrapper_post_eigh(op, w, v, lb, sweeps=2, power_iterations=50):
     """The clamped eigensolve after its dense ``eigh``, through scipy's wrappers.
 
-    Given the dense pairs ``(w, v)`` of the constrained pencil of ``op``,
-    polishes each by ``sweeps`` shifted inverse iterations
+    Given the dense pairs ``(w, v)`` of the constrained pencil of ``op``
+    and the lower band ``lb`` of its mass matrix's Cholesky factor,
+    polishes each pair by ``sweeps`` shifted inverse iterations
     (``solve_banded``) with a Rayleigh-quotient update, sorts,
     M-orthonormalizes against the measured mode Gram, signs each mode by
     its right-end curvature and measures its residual in the M^{-1} norm
-    (``cho_solve_banded``).  Returns ``(eigenvalues, modes, traces,
-    residuals, lambda_max)``, the last a power-iteration estimate of the
-    largest eigenvalue.  This is the wrapper-based loop the package's
-    direct kernel calls must reproduce bit for bit.
+    (``cho_solve_banded`` on ``lb``).  Returns ``(eigenvalues, modes,
+    traces, residuals, lambda_max)``, the last a power-iteration estimate
+    of the largest eigenvalue.  This is the wrapper-based loop the
+    package's direct kernel calls must reproduce bit for bit.
     """
     kb, mb = op.constrained_bands()
     k = kb.shape[0] - 1
-    cb = sla.cholesky_banded(mb, lower=True)
     count = len(w)
     lams = np.empty(count)
     vecs = np.empty_like(v)
@@ -255,7 +255,7 @@ def wrapper_post_eigh(op, w, v, sweeps=2, power_iterations=50):
     x[::2] = -1.0
     x /= np.linalg.norm(x)
     for _ in range(power_iterations):
-        x = sla.cho_solve_banded((cb, True), _sym_band_matvec(kb, x))
+        x = sla.cho_solve_banded((lb, True), _sym_band_matvec(kb, x))
         x /= np.linalg.norm(x)
     lam_max = x @ _sym_band_matvec(kb, x) / (x @ _sym_band_matvec(mb, x))
 
@@ -270,5 +270,5 @@ def wrapper_post_eigh(op, w, v, sweeps=2, power_iterations=50):
             t = -t
         traces[i] = t
         r = _sym_band_matvec(kb, vecs[:, i]) - lams[i] * _sym_band_matvec(mb, vecs[:, i])
-        residuals[i] = np.sqrt(abs(r @ sla.cho_solve_banded((cb, True), r)))
+        residuals[i] = np.sqrt(abs(r @ sla.cho_solve_banded((lb, True), r)))
     return lams, vecs, traces, residuals, lam_max

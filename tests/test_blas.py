@@ -83,8 +83,8 @@ def _misreport(kernel, position, value, message):
     _polish_breakdown,
     _dense_pencil_unallocatable,
     # the info of each dense kernel, and the count m of pairs syevx found (4 asked)
-    pytest.param(_misreport("_potrf", -1, 5, r"^dense eigensolve: mass factor failed "
-                                             r"\(potrf info 5\)$"), id="potrf_info"),
+    pytest.param(_misreport("_potrf", -1, 5, r"^dense eigensolve: mass matrix is not positive "
+                                             r"definite \(potrf info 5\)$"), id="potrf_info"),
     pytest.param(_misreport("_sygst", -1, -2, r"^dense eigensolve: reduction failed "
                                               r"\(sygst info -2\)$"), id="sygst_info"),
     pytest.param(_misreport("_syevx", -1, 2, r"^dense eigensolve: standard eigensolve failed "

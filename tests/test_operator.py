@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from bischro import assemble, boundary_trace, constant_profile, solve_spectrum
 from bischro.operator import band_matvec, band_to_dense, hermite_shapes
@@ -46,28 +45,6 @@ def test_matrices_exactly_symmetric():
         assert np.array_equal(np.tril(full), lower)
         for i in range(band.shape[0]):
             assert np.array_equal(np.diagonal(full, -i), band[i, : band.shape[1] - i])
-
-
-@pytest.mark.parametrize("elements", [64, 512])
-@pytest.mark.parametrize("profile", ["const_profile", "var_profile"])
-def test_lower_only_pencil_keeps_the_full_pencils_eigh_bits(request, profile, elements):
-    # band_to_dense never writes above the diagonal, and the generalized eigh
-    # (uplo = 'L'), whose kernels the solve calls, returns the bits of the
-    # full symmetric pencil
-    op = assemble(request.getfixturevalue(profile), elements)
-    lower = [band_to_dense(band) for band in op.constrained_bands()]
-    for a in lower:
-        assert not np.triu(a, 1).any()
-    full = [symmetrize(a) for a in lower]
-
-    def eigh(a, b):
-        return sla.eigh(a, b, subset_by_index=(0, elements // 10 - 1), lower=True,
-                        overwrite_a=True, overwrite_b=True, check_finite=False)
-
-    w_full, v_full = eigh(*full)
-    w, v = eigh(*lower)
-    assert np.array_equal(w, w_full)
-    assert np.array_equal(v, v_full)
 
 
 def test_bands_and_dense_pencil_are_f_ordered_and_block_products_match_columns(rng):

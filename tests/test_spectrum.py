@@ -230,25 +230,27 @@ def test_nonpositive_eigenvalue_detected(const_profile):
         solve_spectrum(shifted, 3)
 
 
+def _mass_factor_band(op):
+    """The band of M's Cholesky factor that the solve's dense eigh keeps."""
+    return bischro.spectrum._dense_eigh(*op.constrained_bands(), 1)[2]
+
+
 def _weighted_residual(op, lam, vec):
-    import scipy.linalg as sla
     kb, mb = op.constrained_bands()
-    cb = sla.cholesky_banded(mb, lower=True)
     r = band_matvec(kb, vec) - lam * band_matvec(mb, vec)
-    return float(np.sqrt(abs(r @ sla.cho_solve_banded((cb, True), r))))
+    return float(np.sqrt(abs(r @ sla.cho_solve_banded((_mass_factor_band(op), True), r))))
 
 
 def test_residual_gate_separates_good_from_corrupt(const_profile):
     # the gate must sit far above honest residuals and far below the
     # residual of an eigenpair evaluated against the wrong pencil
-    import scipy.linalg as sla
     from bischro.spectrum import RESIDUAL_FLOOR_FACTOR, RESIDUAL_TOL, \
         _estimate_lambda_max
     op = assemble(const_profile, 64)
     sd = solve_spectrum(op, 4)
     kb, mb = op.constrained_bands()
-    cb = sla.cholesky_banded(mb, lower=True)
-    floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _estimate_lambda_max(kb, mb, cb)
+    lam_max = _estimate_lambda_max(kb, mb, _mass_factor_band(op))
+    floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * lam_max
     gate = RESIDUAL_TOL * sd.eigenvalues[0] + floor
     assert sd.residuals[0] < 0.1 * gate
     wrong = assemble(constant_profile(rho=1.3), 64)
@@ -340,7 +342,7 @@ def test_polish_reports_gbsv_info_naming_the_mode(monkeypatch):
 
 def test_lambda_max_breakdown_raises(monkeypatch):
     monkeypatch.setattr(bischro.spectrum, "_pbtrs",
-                        lambda cb, b, **kwargs: (np.zeros_like(b), 0))
+                        lambda lb, b, **kwargs: (np.zeros_like(b), 0))
     with pytest.raises(NumericalError, match="lambda_max power iteration"):
         solve_spectrum(assemble(constant_profile(), 32), 4)
 
@@ -362,7 +364,8 @@ PENCIL_SPECS = pytest.mark.parametrize(
 def test_dense_eigh_matches_scipy_eigh_bit_for_bit(blas, spec, elements, threads):
     # potrf, sygst, syevx and trsm called one by one keep every bit of the
     # dsygvx that sla.eigh runs on the full symmetric pencil, at one BLAS
-    # thread (pinned) and at two (the blas fixture's count)
+    # thread (pinned) and at two (the blas fixture's count), and the factor
+    # band they return is that of the dense Cholesky factor of M
     from bischro._blas import serial_blas
     kb, mb = assemble(build_profile(spec), elements).constrained_bands()
     count = elements // 8
@@ -370,11 +373,14 @@ def test_dense_eigh_matches_scipy_eigh_bit_for_bit(blas, spec, elements, threads
     def both():
         full = [symmetrize(bischro.operator.band_to_dense(band)) for band in (kb, mb)]
         return (sla.eigh(*full, subset_by_index=(0, count - 1)),
+                sla.cholesky(full[1], lower=True),
                 bischro.spectrum._dense_eigh(kb, mb, count))
 
-    (w_ref, v_ref), (w, v) = (serial_blas(both) if threads == 1 else both)()
+    (w_ref, v_ref), factor, (w, v, lb) = (serial_blas(both) if threads == 1 else both)()
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
+    assert lb.shape == mb.shape and lb.flags.f_contiguous
+    assert np.array_equal(bischro.operator.band_to_dense(lb), factor)
 
 
 @pytest.mark.parametrize("elements", [64, 512])
@@ -387,20 +393,59 @@ def test_post_eigh_kernels_match_the_wrapper_loop_bit_for_bit(monkeypatch, spec,
     dense, real_eigh = [], bischro.spectrum._dense_eigh
 
     def eigh(*args):
-        w, v = real_eigh(*args)
-        dense.append((w.copy(), v.copy(order="K")))   # keep the F order trsm returns
-        return w, v
+        w, v, lb = real_eigh(*args)
+        # copies, the modes in the F order trsm returns
+        dense.append((w.copy(), v.copy(order="K"), lb.copy(order="K")))
+        return w, v, lb
 
     op = assemble(build_profile(spec), elements)
     monkeypatch.setattr(bischro.spectrum, "_dense_eigh", eigh)
     sd = solve_spectrum(op, elements // 8)
-    (w, v), = dense
+    (w, v, lb), = dense
     # solve_spectrum runs everything but its eigh on one BLAS thread, and a
     # threaded Gram matmul moves bits
-    lams, modes, traces, residuals, lam_max = serial_blas(wrapper_post_eigh)(op, w, v)
+    lams, modes, traces, residuals, lam_max = serial_blas(wrapper_post_eigh)(op, w, v, lb)
     assert np.array_equal(sd.eigenvalues, lams)
     assert np.array_equal(sd.modes, modes)
     assert np.array_equal(sd.traces, traces)
     assert np.array_equal(sd.residuals, residuals)
     kb, mb = op.constrained_bands()
-    assert _estimate_lambda_max(kb, mb, sla.cholesky_banded(mb, lower=True)) == lam_max
+    assert _estimate_lambda_max(kb, mb, lb) == lam_max
+
+
+def test_mass_matrix_is_factored_once_per_solve(monkeypatch):
+    # dpotrf's factor, whose band the dense eigh keeps, is the one factor of
+    # M: the lambda_max and residual dpbtrs solves read that same band, and
+    # no banded Cholesky factor is built beside it
+    from bischro.spectrum import POWER_ITERATIONS
+    potrf, pbtrs, dense_eigh = (bischro.spectrum._potrf, bischro.spectrum._pbtrs,
+                                bischro.spectrum._dense_eigh)
+    factors, bands, solved = [], [], []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve_spectrum built a second factor of M")
+
+    def potrf_spy(*args, **kwargs):
+        factors.append(None)
+        return potrf(*args, **kwargs)
+
+    def pbtrs_spy(lb, *args, **kwargs):
+        solved.append(lb)
+        return pbtrs(lb, *args, **kwargs)
+
+    def eigh_spy(*args):
+        out = dense_eigh(*args)
+        bands.append(out[2])
+        return out
+
+    monkeypatch.setattr(sla, "cholesky_banded", refused)
+    monkeypatch.setattr(bischro.spectrum, "_potrf", potrf_spy)
+    monkeypatch.setattr(bischro.spectrum, "_pbtrs", pbtrs_spy)
+    monkeypatch.setattr(bischro.spectrum, "_dense_eigh", eigh_spy)
+    op = assemble(constant_profile(), 32)
+    for solves in (1, 2):
+        solve_spectrum(op, 4)
+        assert len(factors) == len(bands) == solves
+        # the power iteration's solves, then the residuals' one
+        assert len(solved) == solves * (POWER_ITERATIONS + 1)
+        assert all(lb is bands[-1] for lb in solved[-(POWER_ITERATIONS + 1):])
