@@ -66,8 +66,6 @@ def index_offset(sd):
     the offset is reported instead of trusting any fixed enumeration
     convention, since only spacings enter the laws downstream.
     """
-    if sd.trusted_count < 1:
-        raise ValueError("index offset needs trusted_count >= 1")
     gamma = geometry(sd.op.profile).optical_length
     n = np.arange(1, sd.trusted_count + 1)
     est = sd.wavenumbers[: len(n)] * gamma / np.pi + 0.5 - n

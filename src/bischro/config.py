@@ -7,10 +7,10 @@ and checked by one entry of ``_KEYS``: values are Python literals, so
 coefficient data reads naturally as ``rho_poly = [1.0, 2.0]`` or
 ``rho_samples = [(0, 1), (0.5, 2), (1, 1)]``; ``kind`` and ``output`` are
 bare words and ``export_matrices`` is ``true`` or ``false``.  The rules
-that involve several keys follow the table, among them the trusted-mode
-rule (:func:`bischro.operator.trusted_count`), so every error the config
-alone decides is found before any solve.  Parsing collects every error
-with its line number instead of stopping at the first.
+that involve several keys follow the table, among them the asymptotics
+kind's trusted-mode minimum (:func:`bischro.operator.trusted_count`), so
+every error the config alone decides is found before any solve.  Parsing
+collects every error with its line number instead of stopping at the first.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .asymptotics import MIN_REPORT_MODES
-from .operator import constrained_dimension, trusted_count
+from .operator import MIN_ELEMENTS, constrained_dimension, trusted_count
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
 _COEFFICIENTS = ("rho", "sigma", "q")
@@ -82,7 +82,8 @@ _SAMPLES = (_literal, lambda v: _items(v, lambda p: _items(p, _real, 2) and len(
 _KEYS = {
     "experiment": {
         "kind": (_word, KINDS.__contains__, f"must be one of {'|'.join(KINDS)}"),
-        "elements": (_literal, lambda v: _int(v, 1), "must be a positive integer"),
+        "elements": (_literal, lambda v: _int(v, MIN_ELEMENTS),
+                     f"must be an integer >= {MIN_ELEMENTS}"),
         "modes": (_literal, lambda v: _int(v, 1), "must be a positive integer"),
         "horizons": (_literal, lambda v: _items(v, lambda t: _real(t) and t > 0),
                      "must be a nonempty list of positive reals"),
@@ -192,11 +193,11 @@ def parse_config(text):
                           f"{constrained_dimension(elements)}, the constrained dimension "
                           f"of {elements} elements, got {modes}")
         trusted = trusted_count(elements, modes)
-        need = MIN_REPORT_MODES if kind == "asymptotics" else 1
-        if kind and trusted < need:
-            key = "modes" if modes < need else "elements"
+        if kind == "asymptotics" and trusted < MIN_REPORT_MODES:
+            key = "modes" if modes < MIN_REPORT_MODES else "elements"
             errors.append(f"line {lines[key]}: {key} = {values[key]} leaves {trusted} trusted "
-                          f"modes (min(modes, elements // 10)), kind={kind} needs {need}")
+                          f"modes (min(modes, elements // 10)), kind={kind} needs "
+                          f"{MIN_REPORT_MODES}")
         top = max(indices, default=0)
         if top > trusted:
             errors.append(f"line {lines['coefficients']}: coefficients name mode {top}, "

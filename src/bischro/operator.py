@@ -28,7 +28,7 @@ from scipy.linalg import blas as _blas
 
 from .coefficients import CoefficientProfile, _gauss_rule
 
-MIN_ELEMENTS = 8
+MIN_ELEMENTS = 10  # the coarsest mesh on which trusted_count certifies a mode
 HALF_BANDWIDTH = 3
 
 

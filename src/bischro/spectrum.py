@@ -15,7 +15,8 @@ banded pencil and its eigenvalue replaced by the Rayleigh quotient.  The
 polish matters: the raw dense solve carries an eps * lambda_max backward
 error that pollutes the low eigenvalues well above the element
 discretization error.  A polish sweep or lambda_max power iteration that
-breaks down, or a nonpositive polished eigenvalue, raises NumericalError.
+breaks down, a nonpositive polished eigenvalue, or a mode Gram that
+dpotrf finds not positive definite raises NumericalError.
 
 M is factored once per solve: the band of dpotrf's factor also serves
 dpbtrs in the lambda_max power iteration and, over all modes at once, in
@@ -234,12 +235,10 @@ def solve_spectrum(op, count):
     # deviations around the inverse-iteration floor; one Cholesky pass
     # against the measured Gram restores M-orthonormality to roundoff and
     # mixes only O(deviation) of near neighbors into each mode
-    gram = vecs.T @ band_matvec(mb, vecs)
-    try:
-        chol = sla.cholesky(gram, lower=False)
-    except sla.LinAlgError as exc:
-        raise NumericalError("mode Gram matrix lost positive definiteness") from exc
-    vecs = sla.solve_triangular(chol.T, vecs.T, lower=True).T
+    chol, info = _potrf(vecs.T @ band_matvec(mb, vecs), lower=0, clean=1)
+    if info != 0:
+        raise NumericalError(f"mode Gram matrix lost positive definiteness (potrf info {info})")
+    vecs = _trsm(1.0, chol, vecs.T, lower=0, trans_a=1).T
 
     floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _estimate_lambda_max(kb, mb, lb)
     traces = np.empty(count)

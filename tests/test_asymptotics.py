@@ -131,16 +131,6 @@ def test_index_offset_is_one(sd_const_512):
     assert index_offset(sd_const_512) == 1
 
 
-@pytest.mark.parametrize("elements", [8, 9])
-def test_index_offset_refuses_a_spectrum_with_no_trusted_modes(const_profile, elements):
-    # fewer than ten elements certify no mode, and the median of no
-    # estimates is NaN
-    sd = solve_spectrum(assemble(const_profile, elements), 4)
-    assert sd.trusted_count == 0
-    with pytest.raises(ValueError, match="trusted_count"):
-        index_offset(sd)
-
-
 def test_eigenfunction_asymptote_boundary_zeros(const_geometry):
     for n in (1, 4, 12):
         assert abs(eigenfunction_asymptote(const_geometry, n, 0.0)) < 1e-12

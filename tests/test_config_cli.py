@@ -398,7 +398,11 @@ def test_cli_rejects_bools_and_nonfinite_numbers(tmp_path, capsys, old, new):
     lineno = next(i for i, line in enumerate(text.splitlines(), 1) if bad in line)
     cfg = _write(tmp_path, text)
     assert main(["control", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert f"line {lineno}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"line {lineno}:" in err
+    if bad.startswith("elements"):
+        # a mesh under ten elements would certify no mode; the key names the minimum
+        assert f"line {lineno}: elements must be an integer >= 10, got" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bischro import assemble, boundary_trace, constant_profile, solve_spectrum
-from bischro.operator import band_matvec, band_to_dense, hermite_shapes
+from bischro.operator import (MIN_ELEMENTS, band_matvec, band_to_dense, hermite_shapes,
+                              trusted_count)
 
 from .oracles import _sym_band_matvec, gauss_integral, symmetrize
 
@@ -25,7 +26,7 @@ def element_matrices_closed_form(h):
 
 
 def test_single_element_blocks_match_closed_forms():
-    op = assemble(constant_profile(length=1.0), 8)
+    op = assemble(constant_profile(length=1.0), 10)
     K = symmetrize(band_to_dense(op.kband))
     M = symmetrize(band_to_dense(op.mband))
     k_ref, m_ref = element_matrices_closed_form(op.h)
@@ -172,6 +173,16 @@ def test_rayleigh_quotient_bounded_below_by_smallest_eigenvalue(sd_const_128):
 def test_rejects_too_few_elements():
     with pytest.raises(ValueError, match="at least"):
         assemble(constant_profile(), 4)
+
+
+@pytest.mark.parametrize("elements", [8, 9])
+def test_assemble_refuses_meshes_that_certify_no_mode(elements):
+    # one trusted mode per ten elements: a coarser mesh's spectrum would
+    # certify none, so validate_spectrum would check nothing and
+    # project_initial would return an empty state
+    assert trusted_count(elements, elements) == 0 < trusted_count(MIN_ELEMENTS, 1)
+    with pytest.raises(ValueError, match=f"^need at least 10 elements, got {elements}$"):
+        assemble(constant_profile(), elements)
 
 
 @pytest.mark.parametrize("elements", [20.7, np.float64(64.0), True])

@@ -12,8 +12,8 @@ import scipy.linalg as sla
 
 import bischro.operator
 import bischro.spectrum
-from bischro import (NumericalError, assemble, build_profile, constant_profile, solve_spectrum,
-                     validate_spectrum)
+from bischro import (NumericalError, assemble, build_profile, constant_profile, project_initial,
+                     solve_spectrum, validate_spectrum)
 from bischro.operator import band_matvec
 
 from .oracles import (CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum, symmetrize,
@@ -99,10 +99,21 @@ def test_trusted_count_rule(const_profile):
     assert sd.trusted_count == 12
     sd = solve_spectrum(assemble(const_profile, 80), 12)
     assert sd.trusted_count == 8
+    # the coarsest mesh certifies one mode, which is what validation checks
+    # and what a projection keeps
+    for count in (1, 4):
+        sd = solve_spectrum(assemble(const_profile, 10), count)
+        assert sd.trusted_count == 1
+        check = validate_spectrum(sd)
+        assert check.passed
+        assert all(len(col) == 1 for col in check.table.values())
+        state = project_initial(sd, lambda x: x**2 * (1 - x) ** 2,
+                                lambda x: 2 * x * (1 - x) * (1 - 2 * x))
+        assert state.coefficients.shape == (1,)
 
 
 def test_count_exceeding_dimension_rejected(const_profile):
-    op = assemble(const_profile, 8)
+    op = assemble(const_profile, 10)
     with pytest.raises(ValueError, match="exceeds"):
         solve_spectrum(op, op.n_dof + 1)
 
@@ -340,6 +351,22 @@ def test_polish_reports_gbsv_info_naming_the_mode(monkeypatch):
         solve_spectrum(assemble(constant_profile(), 32), 4)
 
 
+def test_mode_gram_breakdown_raises_naming_potrf(monkeypatch):
+    # a solve's first potrf factors M, its second the polished modes' Gram
+    potrf, calls = bischro.spectrum._potrf, []
+
+    def gram_fails(*args, **kwargs):
+        calls.append(None)
+        c, info = potrf(*args, **kwargs)
+        return c, 3 if len(calls) == 2 else info
+
+    monkeypatch.setattr(bischro.spectrum, "_potrf", gram_fails)
+    with pytest.raises(NumericalError, match=r"^mode Gram matrix lost positive definiteness "
+                                             r"\(potrf info 3\)$"):
+        solve_spectrum(assemble(constant_profile(), 32), 4)
+    assert len(calls) == 2
+
+
 def test_lambda_max_breakdown_raises(monkeypatch):
     monkeypatch.setattr(bischro.spectrum, "_pbtrs",
                         lambda lb, b, **kwargs: (np.zeros_like(b), 0))
@@ -416,7 +443,8 @@ def test_post_eigh_kernels_match_the_wrapper_loop_bit_for_bit(monkeypatch, spec,
 def test_mass_matrix_is_factored_once_per_solve(monkeypatch):
     # dpotrf's factor, whose band the dense eigh keeps, is the one factor of
     # M: the lambda_max and residual dpbtrs solves read that same band, and
-    # no banded Cholesky factor is built beside it
+    # no banded Cholesky factor is built beside it; the solve's other dpotrf
+    # factors the 4-square mode Gram
     from bischro.spectrum import POWER_ITERATIONS
     potrf, pbtrs, dense_eigh = (bischro.spectrum._potrf, bischro.spectrum._pbtrs,
                                 bischro.spectrum._dense_eigh)
@@ -425,9 +453,9 @@ def test_mass_matrix_is_factored_once_per_solve(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("solve_spectrum built a second factor of M")
 
-    def potrf_spy(*args, **kwargs):
-        factors.append(None)
-        return potrf(*args, **kwargs)
+    def potrf_spy(a, *args, **kwargs):
+        factors.append(a.shape)
+        return potrf(a, *args, **kwargs)
 
     def pbtrs_spy(lb, *args, **kwargs):
         solved.append(lb)
@@ -445,7 +473,8 @@ def test_mass_matrix_is_factored_once_per_solve(monkeypatch):
     op = assemble(constant_profile(), 32)
     for solves in (1, 2):
         solve_spectrum(op, 4)
-        assert len(factors) == len(bands) == solves
+        assert factors == [(op.n_dof, op.n_dof), (4, 4)] * solves
+        assert len(bands) == solves
         # the power iteration's solves, then the residuals' one
         assert len(solved) == solves * (POWER_ITERATIONS + 1)
         assert all(lb is bands[-1] for lb in solved[-(POWER_ITERATIONS + 1):])
