@@ -2,7 +2,8 @@
 
 Five subcommands (spectrum, asymptotics, observability, control,
 simulate) share one config format; the subcommand must match the
-config's ``kind``.  Every CSV file is rendered from a ``{column name:
+config's ``kind``, and ``--out`` names the output directory (default
+``out``).  Every CSV file is rendered from a ``{column name:
 values}`` dict, the form every report takes, and starts with a
 ``# schema:`` line and a header row; floats are printed with 17
 significant digits, integers without a decimal point, and no
@@ -34,7 +35,6 @@ import errno
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +131,9 @@ def _run_observability(config, sd):
                 "raise the horizon or lower the mode count"
             )
         reps.append(rep)
-    # one estimate for the spectrum, repeated on every horizon's row
-    lam = sd.eigenvalues[: sd.trusted_count]
-    density = float(beurling_density(lam)["estimate"][-1]) if len(lam) >= 2 else 0.0
+    # one estimate for the spectrum, repeated on every horizon's row; the
+    # config guarantees the two trusted modes it needs
+    density = float(beurling_density(sd.eigenvalues[: sd.trusted_count])["estimate"][-1])
     table = {"T": [r.horizon for r in reps], "N": [r.n_modes for r in reps],
              "c_T": [r.c_lower for r in reps], "C_T": [r.c_upper for r in reps],
              "condition": [r.gram_condition for r in reps],
@@ -190,12 +190,13 @@ _RUNNERS = {
 }
 
 
-def run(config):
-    """Execute a validated config, then write its files; returns the stdout lines.
+def run(config, outdir):
+    """Execute a validated config, then write its files into ``outdir``;
+    returns the stdout lines.
 
     Every file is rendered in memory before the first write, so a failing
     computation writes nothing.  The files are written into a staging
-    directory inside ``--out`` and renamed into place only once all of
+    directory inside ``outdir`` and renamed into place only once all of
     them are written, so a failing write leaves the files that existed
     before the run untouched; it also removes the directories this run
     created, then re-raises the OSError.
@@ -204,7 +205,7 @@ def run(config):
     sd = solve_spectrum(op, config.modes)
     files, record = _RUNNERS[config.kind](config, sd)
 
-    outdir = Path(config.output)
+    outdir = Path(outdir)
     targets = [outdir / name for name in files]
     for path in targets:
         if path.is_dir():
@@ -234,7 +235,7 @@ def main(argv=None):
     )
     parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--config", required=True, help="path to the config file")
-    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
@@ -250,9 +251,7 @@ def main(argv=None):
             raise ConfigError(
                 [f"config kind={config.kind!r} does not match subcommand {args.command!r}"]
             )
-        if args.out is not None:
-            config = replace(config, output=args.out)
-        lines = run(config)
+        lines = run(config, args.out)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -1,23 +1,24 @@
 """Experiment configuration: a flat sectioned key = value grammar.
 
 Sections are ``[experiment]``, exactly one ``[profile]``, and an optional
-``[initial]`` for the simulate/control pipelines.  A ``#`` outside quotes
-starts a comment, on its own line or after a value.  Every key is read
-and checked by one entry of ``_KEYS``: values are Python literals, so
-coefficient data reads naturally as ``rho_poly = [1.0, 2.0]`` or
-``rho_samples = [(0, 1), (0.5, 2), (1, 1)]``; ``kind`` and ``output`` are
-bare words and ``export_matrices`` is ``true`` or ``false``.  The rules
-that involve several keys follow the table, among them the asymptotics
-kind's trusted-mode minimum (:func:`bischro.operator.trusted_count`), so
-every error the config alone decides is found before any solve.  Parsing
-collects every error with its line number instead of stopping at the first.
+``[initial]`` for the simulate/control pipelines.  Everything from the
+first ``#`` on a line is a comment.  Every key is read and checked by
+one entry of ``_KEYS``: values are Python literals, so coefficient data
+reads naturally as ``rho_poly = [1.0, 2.0]`` or
+``rho_samples = [(0, 1), (0.5, 2), (1, 1)]``; ``kind`` is a bare word
+and ``export_matrices`` is ``true`` or ``false``.  The config describes
+the experiment only: where its files go is the CLI's ``--out``.  The
+rules that involve several keys follow the table, among them the
+trusted-mode minimum of the asymptotics and observability kinds
+(:func:`bischro.operator.trusted_count`), so every error the config
+alone decides is found before any solve.  Parsing collects every error
+with its line number instead of stopping at the first.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-import re
 from dataclasses import dataclass
 
 from .asymptotics import MIN_REPORT_MODES
@@ -25,10 +26,9 @@ from .operator import MIN_ELEMENTS, constrained_dimension, trusted_count
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
 _COEFFICIENTS = ("rho", "sigma", "q")
-# everything before the first '#' that lies outside quotes; a quote with no
-# closing partner is an ordinary character.  The lookaheads give each quote one
-# reading, so a line of quoted strings and no '#' is not backtracked through.
-_COMMENT = re.compile(r"""^((?:[^#'"]|'[^']*'|"[^"]*"|'(?![^']*')|"(?![^"]*"))*)#.*$""")
+# trusted modes a kind's reports need; the Beurling density of the
+# observability kind is undefined for one frequency
+_MIN_TRUSTED = {"asymptotics": MIN_REPORT_MODES, "observability": 2}
 
 
 class ConfigError(ValueError):
@@ -45,7 +45,6 @@ class ExperimentConfig:
     elements: int
     modes: int
     horizons: tuple
-    output: str
     profile_spec: dict
     initial_coefficients: tuple
     export_matrices: bool
@@ -87,7 +86,6 @@ _KEYS = {
         "modes": (_literal, lambda v: _int(v, 1), "must be a positive integer"),
         "horizons": (_literal, lambda v: _items(v, lambda t: _real(t) and t > 0),
                      "must be a nonempty list of positive reals"),
-        "output": (_word, lambda v: True, ""),
         "export_matrices": (_flag, lambda v: isinstance(v, bool), "must be true or false"),
     },
     "profile": {
@@ -111,7 +109,7 @@ def _parse_sections(text, errors):
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.sub(r"\1", raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -193,11 +191,11 @@ def parse_config(text):
                           f"{constrained_dimension(elements)}, the constrained dimension "
                           f"of {elements} elements, got {modes}")
         trusted = trusted_count(elements, modes)
-        if kind == "asymptotics" and trusted < MIN_REPORT_MODES:
-            key = "modes" if modes < MIN_REPORT_MODES else "elements"
+        need = _MIN_TRUSTED.get(kind, 1)
+        if trusted < need:
+            key = "modes" if modes < need else "elements"
             errors.append(f"line {lines[key]}: {key} = {values[key]} leaves {trusted} trusted "
-                          f"modes (min(modes, elements // 10)), kind={kind} needs "
-                          f"{MIN_REPORT_MODES}")
+                          f"modes (min(modes, elements // 10)), kind={kind} needs {need}")
         top = max(indices, default=0)
         if top > trusted:
             errors.append(f"line {lines['coefficients']}: coefficients name mode {top}, "
@@ -222,7 +220,6 @@ def parse_config(text):
     return ExperimentConfig(
         kind=kind, elements=elements, modes=modes,
         horizons=tuple(float(t) for t in values.get("horizons", ())),
-        output=values.get("output", "out"),
         profile_spec={"length": float(values["length"]),
                       **{name: _coefficient(values, name) for name in _COEFFICIENTS}},
         initial_coefficients=tuple((n, float(re), float(im))

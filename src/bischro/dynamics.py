@@ -377,6 +377,7 @@ def _filon_moments(ts, fs, dt, omegas):
     return np.exp(-1j * omegas * ts[0]) * total
 
 
+@serial_blas
 def evolve_controlled(state0, sd, sigma_l, f, horizon):
     """Forward solve of the boundary-controlled system over [0, horizon].
 

@@ -15,6 +15,7 @@ from bischro import (
     NumericalError,
     assemble,
     constant_profile,
+    evolve_controlled,
     gram,
     modal_state,
     moments_for_null,
@@ -113,14 +114,22 @@ def test_pinned_layers_ignore_the_callers_thread_count(blas, var_profile, rng):
     freqs = sd.eigenvalues[:m]
     weights = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     ts = np.linspace(0.0, 1.0, 4001)
+    # a Filon forward solve of 8 modes on the fewest samples its gate allows
+    # at T = 0.05: the (8 x 185) @ (185 x 185) panel products split across
+    # two threads and change the moments' last bits
+    state8 = modal_state(sd, weights[:8])
+    ts8 = np.linspace(0.0, 0.05, 68181)
+    fs8 = ExponentialSum(freqs[:8], weights[:8])(ts8)
 
     def outputs():
         table = validate_spectrum(sd).table
         coeff = project_initial(sd, lambda x: x**2 * (1 - x) ** 2,
                                 lambda x: 2 * x * (1 - x) * (1 - 2 * x)).coefficients
         f = ExponentialSum(freqs, weights)
+        final = evolve_controlled(state8, sd, sd.sigma_at_right_end(), (ts8, fs8), 0.05)
         return [*(np.asarray(col).tobytes() for col in table.values()),
-                coeff.tobytes(), f(ts).tobytes(), np.float64(f.norm(0.5)).tobytes()]
+                coeff.tobytes(), f(ts).tobytes(), np.float64(f.norm(0.5)).tobytes(),
+                final.coefficients.tobytes()]
 
     for _, set_ in blas:
         set_(1)
@@ -154,7 +163,7 @@ def test_threads_pinned_inside_and_restored_across_nesting(blas, sd_const_128, r
     def recording(*args, **kwargs):
         seen.append(("enter", _counts(blas)))
         out = inner(*args, **kwargs)
-        # evolve_controlled pins nothing itself; the synthesize_* scope is still open
+        # evolve_controlled's own pin nests in the synthesize_* scope, still open here
         seen.append(("exit", _counts(blas)))
         return out
 

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -55,29 +54,11 @@ def test_negative_elements_error_names_field_and_line():
 
 
 def test_comments_after_values_are_ignored():
-    text = CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5]\n"
-                               "output = runs/ctl\nexport_matrices = true")
+    text = CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5]\nexport_matrices = true")
     commented = "\n".join(line + "  # note" if "=" in line else line
                            for line in text.splitlines())
-    assert commented.count("# note") == 11  # every key of the config
+    assert commented.count("# note") == 10  # every key of the config
     assert parse_config(commented) == parse_config(text)
-
-
-def test_quoted_output_keeps_hash():
-    cfg = parse_config(MINIMAL.replace("modes = 6", "modes = 6\noutput = 'a#b'  # c"))
-    assert cfg.output == "a#b"
-
-
-def test_lone_quote_is_an_ordinary_character():
-    cfg = parse_config(MINIMAL.replace("modes = 6", "modes = 6\noutput = don't  # note"))
-    assert cfg.output == "don't"
-    # quoted strings and no comment: each quote has one reading, so the scan
-    # does not backtrack through every way to pair them (seconds at 18 strings)
-    many = "[" + ", ".join(["'a'"] * 18) + "]"
-    start = time.perf_counter()
-    cfg = parse_config(MINIMAL.replace("modes = 6", f"modes = 6\noutput = {many}"))
-    assert cfg.output == many
-    assert time.perf_counter() - start < 1.0
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -310,6 +291,28 @@ def test_cli_observability_sweep(tmp_path, capsys):
     assert c_lower == sorted(c_lower)
 
 
+@pytest.mark.parametrize("old, new, code", [
+    ("elements = 64", "elements = 10", EXIT_CONFIG),
+    ("modes = 6", "modes = 1", EXIT_CONFIG),
+    ("elements = 64", "elements = 20", EXIT_OK),
+])
+def test_cli_observability_needs_two_trusted_modes(tmp_path, capsys, old, new, code):
+    # the Beurling density of a single frequency is undefined
+    text = MINIMAL.replace("kind = spectrum", "kind = observability")
+    text = text.replace("modes = 6", "modes = 6\nhorizons = [0.5]").replace(old, new)
+    lineno = text.splitlines().index(new) + 1
+    out = tmp_path / "obs"
+    assert main(["observability", "--config", _write(tmp_path, text), "--out", str(out)]) == code
+    if code == EXIT_CONFIG:
+        assert (f"line {lineno}: {new} leaves 1 trusted modes (min(modes, elements // 10)), "
+                "kind=observability needs 2") in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        row = (out / "observability.csv").read_text().splitlines()[2].split(",")
+        assert row[1] == "2"
+        assert float(row[5]) > 0
+
+
 def test_cli_observability_positivity_loss_exits_numerical(tmp_path, capsys):
     # at T = 1e-6 the Gram of six modes is numerically singular
     text = MINIMAL.replace("kind = spectrum", "kind = observability")
@@ -449,6 +452,30 @@ def test_cli_condition_cap_is_an_unknown_key(tmp_path, capsys):
     assert main(["control", "--config", _write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
     assert f"line {lineno}: unknown experiment key 'condition_cap'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_output_is_an_unknown_key(tmp_path, capsys):
+    # the output directory is named by --out alone
+    text = CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5]\noutput = x")
+    lineno = text.splitlines().index("output = x") + 1
+    out = tmp_path / "o"
+    assert main(["control", "--config", _write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    assert f"line {lineno}: unknown experiment key 'output'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_out_defaults_to_out(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, MINIMAL)
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--config", cfg]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["spectrum.csv"]
+    assert f"wrote: {Path('out', 'spectrum.csv')}" in capsys.readouterr().out
+
+
+def test_run_writes_into_the_directory_it_is_given(tmp_path):
+    lines = bischro.cli.run(parse_config(MINIMAL), tmp_path / "o")
+    assert lines[-1] == f"wrote: {tmp_path / 'o' / 'spectrum.csv'}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
 
 
 def test_cli_simulate_states(tmp_path):
