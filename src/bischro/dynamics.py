@@ -21,9 +21,8 @@ The one cached exponential Gram (:func:`gram`) lives here too; the
 observability and control solves, ExponentialSum.norm and the
 closed-form forward solve of a waveform on the state's own frequencies
 all read it, for that solve's phase table is the Gram by definition.
-Any other waveform gets its full table, uncached.  The Gram is an
-inner-product Gram, Hermitian to the last bit, so only its strict upper
-triangle is evaluated and the rest mirrored.
+Any other waveform gets its full table, uncached.  The Gram is the
+same full table, formed once and kept read-only.
 """
 
 from __future__ import annotations
@@ -201,8 +200,7 @@ class ExponentialSum:
             return 0.0
         G = _gram(self.frequencies.tobytes(), T).matrix
         # G.conj().T holds G's values in Fortran order, the order the
-        # norm has always multiplied in, so its bits do not depend on
-        # whether the Gram was formed here or by a solve
+        # norm has always multiplied in; the solves read the same table
         return float(np.sqrt(abs(np.real(np.vdot(self.weights, G.conj().T @ self.weights)))))
 
 
@@ -261,32 +259,14 @@ def _gram(key, T):
     serves consecutive calls at one (lambda, T): a moment/HUM pair, their
     norms and forward checks, an observability cell.
 
-    Only the strict upper triangle is evaluated.  G is an inner-product
-    Gram, so the lower triangle is the conjugate mirror (evaluating it
-    gives the same bits) and the diagonal is exactly T.
+    G is the full phase table, the expression a foreign waveform's
+    forward solve uses.  phase_integral is conjugate-symmetric in omega
+    and exactly T at omega = 0, so G is Hermitian with diagonal T.
     """
     lam = np.frombuffer(key)
-    n = len(lam)
-    rows, cols, upper, lower = _mirror_indices(n)
-    values = phase_integral(lam[cols] - lam[rows], T)
-    G = np.empty((n, n), dtype=complex)
-    flat = G.reshape(-1)
-    flat[upper] = values
-    flat[lower] = values.conj()
-    flat[:: n + 1] = T
+    G = phase_integral(-np.subtract.outer(lam, lam), T)
     G.flags.writeable = False
     return GramSystem(matrix=G)
-
-
-@functools.lru_cache(maxsize=8)
-def _mirror_indices(n):
-    """Row, column, flat index and mirrored flat index of every strict
-    upper-triangle entry of an n x n array, row by row, read-only."""
-    rows, cols = np.triu_indices(n, 1)
-    out = (rows, cols, rows * n + cols, cols * n + rows)
-    for a in out:
-        a.flags.writeable = False
-    return out
 
 
 def phase_integral(omega, horizon):

@@ -317,9 +317,9 @@ def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_ca
     observability_constants(sd, T, N)
     # the Gram once, and the weight-normalized matrix of the constants
     assert calls == [(N, N), (N, N)]
-    # the strict upper triangle of the Gram once: the solves, every norm and
-    # both controls' forward checks read it
-    assert phases == [(N * (N - 1) // 2,)]
+    # the Gram's phase table once: the solves, every norm and both
+    # controls' forward checks read it
+    assert phases == [(N, N)]
 
 
 def _residual_from_full_table(state, f, T):
@@ -409,11 +409,15 @@ def test_exact_beam_residual_records_the_eigenvalue_error(sd_const_512, elements
     clamped beam (400 modes): state = mode 1 + mode 2, N = 12, T = 0.5,
     14 computed modes.  Its H^-2 residual measures the error of the
     discrete eigenvalues (a phase error delta lambda_n T per mode), which
-    the reported residual_final (about 1e-16) cannot see.  Measured:
-    1.47-1.49e-6 at E = 256 and 1.43-1.74e-6 at 512 (one and two BLAS
-    threads), 4.1e-5 at 1024 and 1.7e-4 at 2048: refinement makes the
-    control worse, because the eigenvalues' roundoff grows as h^-4.  A
-    more accurate eigensolver shows here as a smaller number."""
+    the reported residual_final (about 1e-16) cannot see.  Measured at
+    one and two BLAS threads: 1.47 and 1.49e-6 at E = 256, 1.74 and
+    1.43e-6 at 512 (14 modes solved).  Finer meshes make the control
+    worse, because the eigenvalues' roundoff grows as h^-4, and there
+    the figure also moves with the mode count and the thread count,
+    which change the dense solve's roundoff: at 1024, 2.27e-6 and
+    4.09e-5 with 14 modes, 1.24e-5 and 1.45e-5 with 102; at 2048,
+    3.93e-4 and 1.70e-4 with 14, 1.29e-4 and 1.34e-5 with 204.  A more
+    accurate eigensolver shows here as a smaller number."""
     sd = sd_const_512 if elements == 512 else solve_spectrum(assemble(constant_profile(), 256), 14)
     state = modal_state(sd, [1.0, 1.0] + [0.0] * 10)
     horizon = 0.5

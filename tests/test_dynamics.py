@@ -535,8 +535,8 @@ def _direct_forward(state, f, T):
 
 
 def test_forward_table_general_branch_unchanged(sd_const_128, rng, cold_gram_cache):
-    # the Hermitian half table serves only a waveform on the state's own
-    # frequencies; unsorted, repeated and foreign ones take the full table
+    # the cached Gram serves only a waveform on the state's own frequencies;
+    # unsorted, repeated and foreign ones get a table formed afresh
     sd = sd_const_128
     N, T = 6, 0.3
     lam = sd.eigenvalues[:N]

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import bischro.dynamics
 from bischro import (
     ExponentialSum,
     beurling_density,
@@ -66,16 +67,29 @@ def test_gram_energy_identity_against_quadrature(rng):
 
 
 @pytest.mark.parametrize("N", [2, 8, 51, 102])
-def test_gram_half_table_bits_match_full_phase_table(N, cold_gram_cache):
-    # only the strict upper triangle is evaluated, the rest mirrored; at
-    # T = 1e-10 and 1e-8 entries take the small-|omega T| series branch
+def test_gram_bits_match_full_phase_table(N, cold_gram_cache):
+    # at T = 1e-10 and 1e-8 entries take the small-|omega T| series branch.
+    # Hermitian symmetry and the exact diagonal rest on phase_integral being
+    # conjugate-symmetric in omega and exactly T at omega = 0, for any
+    # frequency set; values, not bytes, since a repeated frequency's zero
+    # imaginary part may carry either sign
     lam = beam_roots(N) ** 4
     delta = np.subtract.outer(lam, lam)
     assert np.any((delta != 0) & (np.abs(delta) * 1e-10 < 1e-2))
+    repeated = np.concatenate([lam, lam[::-1]])
     for T in (1e-10, 1e-8, 0.01, 0.5, 3.0):
-        cold_gram_cache()
-        full = np.asarray(phase_integral(-delta, T))
-        assert gram(lam, T).matrix.tobytes() == full.tobytes()
+        for freqs in (lam, lam[::-1], -lam, repeated):
+            cold_gram_cache()
+            full = np.asarray(phase_integral(-np.subtract.outer(freqs, freqs), T))
+            # _gram is the norm's path, which accepts repeats; gram refuses them
+            tables = [bischro.dynamics._gram(freqs.tobytes(), T).matrix]
+            if freqs is not repeated:
+                cold_gram_cache()
+                tables.append(gram(freqs, T).matrix)
+            for G in tables:
+                assert G.tobytes() == full.tobytes()
+                assert np.array_equal(G, G.conj().T)
+                assert np.all(G.diagonal() == T)
 
 
 def test_gram_rejects_duplicate_frequencies():
