@@ -10,13 +10,15 @@ lowest pairs and dtrsm maps the vectors back.  So one full lower triangle
 is resident at a time, and no kernel scans the dense arrays for NaN or
 inf; a band with a non-finite entry is refused before it is densified,
 and a kernel that reports failure raises NumericalError naming it.  Then
-every pair is polished with two shifted inverse-iteration steps on the
-banded pencil and its eigenvalue replaced by the Rayleigh quotient.  The
-polish matters: the raw dense solve carries an eps * lambda_max backward
-error that pollutes the low eigenvalues well above the element
-discretization error.  A polish sweep or lambda_max power iteration that
-breaks down, a nonpositive polished eigenvalue, or a mode Gram that
-dpotrf finds not positive definite raises NumericalError.
+every pair is polished in place with two shifted inverse-iteration steps
+on the banded pencil and its eigenvalue replaced by the Rayleigh
+quotient.  The polish matters: the raw dense solve carries an
+eps * lambda_max backward error that pollutes the low eigenvalues well
+above the element discretization error.  Polished pairs are never
+reordered: an eigenvalue not strictly above its predecessor, a polish
+sweep or lambda_max power iteration that breaks down, a nonpositive
+polished eigenvalue, or a mode Gram that dpotrf finds not positive
+definite raises NumericalError.
 
 M is factored once per solve: the band of dpotrf's factor also serves
 dpbtrs in the lambda_max power iteration and, over all modes at once, in
@@ -202,15 +204,13 @@ def solve_spectrum(op, count):
 
     # the dense eigh's kernels are the calls that gain from BLAS threads
     with entry_threads():
-        w, v, lb = _dense_eigh(kb, mb, count)
+        lams, v, lb = _dense_eigh(kb, mb, count)
 
     # shifted inverse iteration plus Rayleigh quotient on the banded pencil
     k = kb.shape[0] - 1
     k3, m3 = _gbsv_form(kb), _gbsv_form(mb)
-    lams = np.empty(count)
-    vecs = np.empty_like(v)
     for i in range(count):
-        lam, vec = w[i], v[:, i]
+        lam, vec = lams[i], v[:, i]
         for _ in range(POLISH_SWEEPS):
             _, _, z, info = _gbsv(k, k, k3 - lam * m3, band_matvec(mb, vec),
                                   overwrite_ab=1, overwrite_b=1)
@@ -223,11 +223,10 @@ def solve_spectrum(op, count):
                     f"mode {i + 1} polish: shifted-solve iterate has M-norm {nrm}")
             vec = z / nrm
             lam = vec @ band_matvec(kb, vec)
-        lams[i] = lam
-        vecs[:, i] = vec
-    order = np.argsort(lams, kind="stable")
-    lams = lams[order]
-    vecs = vecs[:, order]
+        if i and lam <= lams[i - 1]:
+            raise NumericalError(f"modes {i} and {i + 1} out of order after polish "
+                                 f"({lams[i - 1]:.6e} then {lam:.6e})")
+        lams[i], v[:, i] = lam, vec
     if lams[0] <= 0:
         raise NumericalError(f"nonpositive eigenvalue {lams[0]:.6e} after polish")
 
@@ -235,22 +234,19 @@ def solve_spectrum(op, count):
     # deviations around the inverse-iteration floor; one Cholesky pass
     # against the measured Gram restores M-orthonormality to roundoff and
     # mixes only O(deviation) of near neighbors into each mode
-    chol, info = _potrf(vecs.T @ band_matvec(mb, vecs), lower=0, clean=1)
+    chol, info = _potrf(v.T @ band_matvec(mb, v), lower=0, clean=1)
     if info != 0:
         raise NumericalError(f"mode Gram matrix lost positive definiteness (potrf info {info})")
-    vecs = _trsm(1.0, chol, vecs.T, lower=0, trans_a=1).T
+    vecs = _trsm(1.0, chol, v.T, lower=0, trans_a=1).T
 
     floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _estimate_lambda_max(kb, mb, lb)
-    traces = np.empty(count)
+    traces = boundary_trace(op, vecs.T)
+    signs = np.where(traces < 0, -1.0, 1.0)
+    vecs *= signs
+    traces *= signs
     # F-ordered, so each column's dot with its M^{-1}-weighted copy is contiguous
     r = np.empty((kb.shape[1], count), order="F")
-    for i in range(count):
-        t = boundary_trace(op, vecs[:, i])
-        if t < 0:
-            vecs[:, i] = -vecs[:, i]
-            t = -t
-        traces[i] = t
-        vec = vecs[:, i]
+    for i, vec in enumerate(vecs.T):
         r[:, i] = band_matvec(kb, vec) - lams[i] * band_matvec(mb, vec)
     rw, info = _pbtrs(lb, r, lower=1)
     if info != 0:

@@ -9,8 +9,13 @@ E = 64, 256 and 512 elements) through :func:`bischro.cli.main`, each
 into ``OUTDIR/<run>/``, keeps each run's exit code, stdout and stderr
 in ``OUTDIR/<run>/stdout.txt`` with ``OUTDIR`` masked, and writes
 ``OUTDIR/SHA256SUMS`` with one ``<sha256>  <run>/<file>`` line per
-file.  Two checkouts run at the same BLAS thread count can then be
-compared with ``diff A/SHA256SUMS B/SHA256SUMS``.
+file.  It then solves the spectra of :data:`SOLVES` (2048 elements and
+206 modes, the benchmark's spectrum-fine shape, on the constant and
+sampled profiles) with :func:`bischro.solve_spectrum` and adds one
+``<sha256>  solve-<profile>-<E>x<modes>/<array>`` line per array of
+:data:`SPECTRUM_ARRAYS`, hashed over its raw float64 bytes.  Two
+checkouts run at the same BLAS thread count can then be compared with
+``diff A/SHA256SUMS B/SHA256SUMS``.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import io
 import sys
 from pathlib import Path
 
-from bischro import cli
-from bischro.config import KINDS
+from bischro import assemble, build_profile, cli, solve_spectrum
+from bischro.config import KINDS, parse_config
 
 PROFILES = {
     "constant": "rho_poly = [1.0]\nsigma_poly = [1.0]\nq_poly = [0.0]\n",
@@ -35,6 +40,8 @@ ELEMENTS = (64, 256, 512)
 HORIZONS = {"observability": "[0.5, 1.0, 2.0]", "control": "[1.0]", "simulate": "[0.25, 1.0]"}
 RUNS = [(kind, profile, elements)
         for kind in KINDS for profile in PROFILES for elements in ELEMENTS]
+SOLVES = [(profile, 2048, 206) for profile in ("constant", "sampled")]
+SPECTRUM_ARRAYS = ("eigenvalues", "modes", "traces", "residuals")
 
 
 def config_text(kind, profile, elements):
@@ -51,9 +58,11 @@ def config_text(kind, profile, elements):
     return "\n".join(lines)
 
 
-def digest(outdir, runs=RUNS):
-    """Run ``runs`` into ``outdir`` and return the text of ``outdir/SHA256SUMS``."""
+def digest(outdir, runs=RUNS, solves=SOLVES):
+    """Run ``runs`` into ``outdir``, solve ``solves`` and return the text of
+    ``outdir/SHA256SUMS``."""
     outdir = Path(outdir).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
     for kind, profile, elements in runs:
         rundir = outdir / f"{kind}-{profile}-{elements}"
         rundir.mkdir(parents=True, exist_ok=True)
@@ -69,6 +78,12 @@ def digest(outdir, runs=RUNS):
         for path in sorted(outdir.rglob("*"))
         if path.is_file() and path.name != "SHA256SUMS"
     )
+    for profile, elements, modes in solves:
+        spec = parse_config(config_text("spectrum", profile, elements)).profile_spec
+        sd = solve_spectrum(assemble(build_profile(spec), elements), modes)
+        sums += "".join(
+            f"{hashlib.sha256(getattr(sd, name).tobytes()).hexdigest()}  "
+            f"solve-{profile}-{elements}x{modes}/{name}\n" for name in SPECTRUM_ARRAYS)
     (outdir / "SHA256SUMS").write_text(sums, encoding="ascii")
     return sums
 

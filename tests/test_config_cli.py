@@ -621,9 +621,13 @@ def test_csv_refuses_columns_of_unequal_length():
 def test_artifact_digest_covers_every_kind(tmp_path):
     from bischro.config import KINDS
 
-    from .artifact_digest import digest
-    sums = digest(tmp_path, [(kind, "sampled", 64) for kind in KINDS])
+    from .artifact_digest import SPECTRUM_ARRAYS, digest
+    sums = digest(tmp_path, [(kind, "sampled", 64) for kind in KINDS], [("sampled", 64, 8)])
     names = [line.split("  ", 1)[1] for line in sums.splitlines()]
+    # the CLI runs' files, then one line per array of the solve
+    solved = [f"solve-sampled-64x8/{name}" for name in SPECTRUM_ARRAYS]
+    assert names[-len(solved):] == solved
+    names = names[:-len(solved)]
     assert {name.split("-")[0] for name in names} == set(KINDS)
     assert (tmp_path / "SHA256SUMS").read_text() == sums
     for kind in KINDS:

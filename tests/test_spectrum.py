@@ -14,7 +14,7 @@ import bischro.operator
 import bischro.spectrum
 from bischro import (NumericalError, assemble, build_profile, constant_profile, project_initial,
                      solve_spectrum, validate_spectrum)
-from bischro.operator import band_matvec
+from bischro.operator import band_matvec, boundary_trace
 
 from .oracles import (CLAMPED_ROOTS, beam_roots, galerkin_clamped_spectrum, symmetrize,
                       wrapper_post_eigh)
@@ -76,8 +76,12 @@ def test_modes_m_orthonormal(sd_const_128):
 
 
 def test_traces_positive_by_convention(sd_const_128, sd_var_512):
-    assert np.all(sd_const_128.traces > 0)
-    assert np.all(sd_var_512.traces > 0)
+    for sd in (sd_const_128, sd_var_512):
+        assert np.all(sd.traces > 0)
+        # the traces are the block trace of the signed modes, and each mode's
+        # own trace, bit for bit
+        assert np.array_equal(boundary_trace(sd.op, sd.modes.T), sd.traces)
+        assert np.array_equal([boundary_trace(sd.op, m) for m in sd.modes.T], sd.traces)
 
 
 def test_eigenvalues_strictly_increasing_and_positive(sd_const_128):
@@ -348,6 +352,21 @@ def test_polish_reports_gbsv_info_naming_the_mode(monkeypatch):
     monkeypatch.setattr(bischro.spectrum, "_gbsv", late_pivot)
     with pytest.raises(NumericalError,
                        match=r"mode 3 polish: shifted solve failed \(gbsv info 7\)"):
+        solve_spectrum(assemble(constant_profile(), 32), 4)
+
+
+def test_out_of_order_polish_raises_naming_the_modes(monkeypatch):
+    # the polish converges each pair to the dense one it starts from, so a
+    # dense result with its first two pairs swapped comes back out of order;
+    # the solve refuses it instead of sorting it
+    dense_eigh = bischro.spectrum._dense_eigh
+
+    def swapped(*args):
+        w, v, lb = dense_eigh(*args)
+        return w[[1, 0, 2, 3]], v[:, [1, 0, 2, 3]], lb
+
+    monkeypatch.setattr(bischro.spectrum, "_dense_eigh", swapped)
+    with pytest.raises(NumericalError, match=r"^modes 1 and 2 out of order after polish"):
         solve_spectrum(assemble(constant_profile(), 32), 4)
 
 
