@@ -4,8 +4,10 @@ Every public numeric entry point runs under :func:`serial_blas`, which
 pins every loaded OpenBLAS to one thread for the duration of the call
 and restores the counts in effect on entry.  The one exception is the
 dense ``eigh`` inside :func:`bischro.spectrum.solve_spectrum`, which
-gains from threads: it runs inside :func:`entry_threads`, at the counts
-that were in effect when the outermost pinned call was entered.
+gains from threads: it runs before that function enters its pinned
+part, at the caller's counts, so a caller that pins BLAS itself gets a
+serial ``eigh``.  Where no OpenBLAS is found, :func:`serial_blas` does
+nothing.
 
 The process loads two OpenBLAS libraries, numpy's and scipy.linalg's,
 each with its own thread pool.  On the small matrices of the Gram,
@@ -23,7 +25,6 @@ be serial too.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import re
@@ -64,14 +65,12 @@ class _SerialScope:
     """Re-entrant scope: the outermost entry pins one thread, its exit restores.
 
     The thread count is process-wide, so nested calls and calls from
-    several Python threads share one depth count under a lock.  While
-    any caller is inside :meth:`threaded`, the entry counts hold.
+    several Python threads share one depth count under a lock.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
-        self._threaded = 0
         self._saved = ()
 
     def __enter__(self):
@@ -90,27 +89,8 @@ class _SerialScope:
                 for (_, set_), n in zip(_openblas(), self._saved):
                     set_(n)
 
-    @contextlib.contextmanager
-    def threaded(self):
-        """Run the body at the counts the outermost entry saved."""
-        with self:
-            with self._lock:
-                if self._threaded == 0:
-                    for (_, set_), n in zip(_openblas(), self._saved):
-                        set_(n)
-                self._threaded += 1
-            try:
-                yield
-            finally:
-                with self._lock:
-                    self._threaded -= 1
-                    if self._threaded == 0:
-                        for _, set_ in _openblas():
-                            set_(1)
-
 
 _SERIAL = _SerialScope()
-entry_threads = _SERIAL.threaded
 
 
 def serial_blas(fn):

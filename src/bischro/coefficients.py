@@ -45,12 +45,18 @@ DEFAULT_CELLS = 256
 DEFAULT_ORDER = 4
 
 
+def _is_bool(v):
+    """True if ``v`` is a bool, or a list, tuple or array holding one."""
+    return any(isinstance(x, (bool, np.bool_)) for x in np.asarray(v, dtype=object).flat)
+
+
 def _coefficient(spec, name, length):
     """A number or ``{"poly": [...]}`` (increasing degree) as ``polyval``;
     ``{"samples": [(x, v), ...]}`` covering [0, length] as a monotone
     piecewise cubic (PCHIP), which is C1 and never overshoots the data
-    range, so strictly positive samples give a positive interpolant."""
-    if isinstance(spec, (int, float)):
+    range, so strictly positive samples give a positive interpolant.  A bool
+    is not a number, neither as the coefficient nor inside its lists."""
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         spec = {"poly": [float(spec)]}
     elif not isinstance(spec, dict):
         raise ProfileError(f"{name}: expected number or dict, got {type(spec).__name__}")
@@ -60,6 +66,9 @@ def _coefficient(spec, name, length):
     poly, samples = spec.get("poly"), spec.get("samples")
     if (poly is None) == (samples is None):
         raise ProfileError("coefficient needs exactly one of poly= or samples=")
+    for key, entries in (("poly", poly), ("samples", samples)):
+        if _is_bool(entries):
+            raise ProfileError(f"{name}: {key} entries must be numbers, got a bool")
     if poly is not None:
         coeffs = np.atleast_1d(np.asarray(poly, dtype=float))
         if coeffs.ndim != 1 or coeffs.size == 0:
@@ -103,9 +112,9 @@ def build_profile(spec):
 
     ``spec`` maps ``length`` to a positive real and each of ``rho``,
     ``sigma``, ``q`` to a number, a ``{"poly": [...]}`` dict or a
-    ``{"samples": [(x, v), ...]}`` dict.  Positivity (rho, sigma > 0,
-    q >= 0) is enforced on a dense grid; the first offending abscissa is
-    reported.
+    ``{"samples": [(x, v), ...]}`` dict; a bool is none of these.
+    Positivity (rho, sigma > 0, q >= 0) is enforced on a dense grid; the
+    first offending abscissa is reported.
     """
     if not isinstance(spec, dict):
         raise ProfileError("profile spec must be a dict")
@@ -116,6 +125,8 @@ def build_profile(spec):
     if missing:
         raise ProfileError(f"profile spec missing keys {sorted(missing)}")
 
+    if _is_bool(spec["length"]):
+        raise ProfileError("length must be a number, got bool")
     length = float(spec["length"])
     if not length > 0:
         raise ProfileError(f"interval length must be positive, got {length:g}")

@@ -11,16 +11,10 @@ element, which integrates every constant-coefficient entry exactly
 variable coefficients.  Both matrices are stored in symmetric lower-band
 form with half-bandwidth 3, so the memory cost is linear in E.  The
 bands are F-ordered, the layout LAPACK and BLAS read without a copy.
-So is the one dense form, made only for the eigensolver's dense
-solve (:func:`band_to_dense`): it holds the lower triangle alone, in a
-mapping whose upper-triangle pages are never written, so at most about
-half of its n^2 entries become resident, and of a band that LAPACK only
-reads (the mass matrix's Cholesky factor), only the pages it crosses.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,33 +69,6 @@ def constrained_dimension(elements):
 def trusted_count(elements, modes):
     """Modes certified on an E-element mesh: one per ten elements, at most ``modes``."""
     return min(modes, elements // 10)
-
-
-def band_to_dense(band):
-    """Symmetric lower-band storage band[i, j] = A[j+i, j] to an F-ordered n x n array
-    whose lower triangle holds A; the upper triangle is never written.
-
-    The array lives in its own anonymous mapping, zero-filled by the kernel and
-    advised against huge pages where the platform allows, so the pages of the
-    upper triangle take no memory until something touches them; with LAPACK's
-    ``uplo = 'L'`` nothing does.  A mapping that cannot be made is a
-    MemoryError naming the n-square pencil.
-    """
-    n = band.shape[1]
-    try:
-        buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
-    except OSError as exc:
-        raise MemoryError(f"cannot allocate a {n}-square dense pencil: {exc}") from exc
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        try:
-            buf.madvise(mmap.MADV_NOHUGEPAGE)
-        except OSError:   # e.g. EINVAL from a kernel built without huge pages
-            pass
-    out = np.frombuffer(buf, dtype=float).reshape((n, n), order="F")
-    for i in range(band.shape[0]):
-        idx = np.arange(n - i)
-        out[idx + i, idx] = band[i, : n - i]
-    return out
 
 
 def band_matvec(band, x):
@@ -192,8 +159,10 @@ class DiscreteOperator:
 
     def evaluate(self, u_full, x, derivative=0):
         """Evaluate the piecewise-cubic reconstruction, or its first or second
-        derivative, at abscissae x in [0, length]; a derivative outside
-        {0, 1, 2} and non-finite or out-of-range abscissae are refused."""
+        derivative, at abscissae x in [0, length]; a non-integer derivative (bool
+        included) is a TypeError, one outside {0, 1, 2} and non-finite or
+        out-of-range abscissae a ValueError."""
+        derivative = _integer(derivative, "derivative")
         if derivative not in (0, 1, 2):
             raise ValueError(f"derivative must be 0, 1 or 2, got {derivative!r}")
         x = np.asarray(x, dtype=float)

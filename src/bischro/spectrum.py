@@ -2,23 +2,26 @@
 
 The pencil K phi = lambda M phi from :mod:`bischro.operator` is solved
 densely by the four kernels of LAPACK's dsygvx, called one by one on the
-lower triangles that operator.band_to_dense writes: dpotrf factors M in
-place (the one refusal of an M that is not positive definite), its factor
-is cut to its band (below which it is an exact zero) and densified again
-before K is densified, dsygst reduces K in place, dsyevx solves for the
-lowest pairs and dtrsm maps the vectors back.  So one full lower triangle
-is resident at a time, and no kernel scans the dense arrays for NaN or
-inf; a band with a non-finite entry is refused before it is densified,
-and a kernel that reports failure raises NumericalError naming it.  Then
-every pair is polished in place with two shifted inverse-iteration steps
-on the banded pencil and its eigenvalue replaced by the Rayleigh
-quotient.  The polish matters: the raw dense solve carries an
-eps * lambda_max backward error that pollutes the low eigenvalues well
-above the element discretization error.  Polished pairs are never
-reordered: an eigenvalue not strictly above its predecessor, a polish
-sweep or lambda_max power iteration that breaks down, a nonpositive
-polished eigenvalue, or a mode Gram that dpotrf finds not positive
-definite raises NumericalError.
+lower triangles that band_to_dense writes, the package's one dense form:
+dpotrf factors M in place (the one refusal of an M that is not positive
+definite), its factor is cut to its band (below which it is an exact
+zero) and densified again before K is densified, dsygst reduces K in
+place, dsyevx solves for the lowest pairs and dtrsm maps the vectors
+back.  So one full lower triangle is resident at a time, and no kernel
+scans the dense arrays for NaN or inf; a band with a non-finite entry is
+refused before it is densified, and a kernel that reports failure raises
+NumericalError naming it.  Then every pair is polished in place with two
+shifted inverse-iteration steps on the banded pencil and its eigenvalue
+replaced by the Rayleigh quotient.  The polish matters: the raw dense
+solve carries an eps * lambda_max backward error that pollutes the low
+eigenvalues well above the element discretization error.  Polished pairs
+are never reordered: an eigenvalue not strictly above its predecessor, a
+polish sweep or lambda_max power iteration that breaks down, a
+nonpositive polished eigenvalue, or a mode Gram that dpotrf finds not
+positive definite raises NumericalError.
+
+The dense solve runs at the caller's BLAS thread counts, and everything
+after it pinned to one thread (:mod:`bischro._blas`).
 
 M is factored once per solve: the band of dpotrf's factor also serves
 dpbtrs in the lambda_max power iteration and, over all modes at once, in
@@ -38,14 +41,14 @@ columns plus a list of failures.
 from __future__ import annotations
 
 import functools
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from ._blas import entry_threads, serial_blas
-from .operator import (DiscreteOperator, _integer, band_matvec, band_to_dense, boundary_trace,
-                       trusted_count)
+from ._blas import serial_blas
+from .operator import DiscreteOperator, _integer, band_matvec, boundary_trace, trusted_count
 
 RESIDUAL_TOL = 1e-8
 # validate_spectrum flags: relative neighbor gap, right-end trace magnitude
@@ -116,6 +119,33 @@ _potrf, _sygst, _syevx, _sygvx_lwork, _gbsv, _pbtrs = sla.get_lapack_funcs(
 _trsm = sla.get_blas_funcs("trsm", dtype=np.float64)
 
 
+def band_to_dense(band):
+    """Symmetric lower-band storage band[i, j] = A[j+i, j] to an F-ordered n x n array
+    whose lower triangle holds A; the upper triangle is never written.
+
+    The array lives in its own anonymous mapping, zero-filled by the kernel and
+    advised against huge pages where the platform allows, so the pages of the
+    upper triangle take no memory until something touches them; with LAPACK's
+    ``uplo = 'L'`` nothing does.  A mapping that cannot be made is a
+    MemoryError naming the n-square pencil.
+    """
+    n = band.shape[1]
+    try:
+        buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise MemoryError(f"cannot allocate a {n}-square dense pencil: {exc}") from exc
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        try:
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:   # e.g. EINVAL from a kernel built without huge pages
+            pass
+    out = np.frombuffer(buf, dtype=float).reshape((n, n), order="F")
+    for i in range(band.shape[0]):
+        idx = np.arange(n - i)
+        out[idx + i, idx] = band[i, : n - i]
+    return out
+
+
 def _dense_eigh(kb, mb, count):
     """``(w, v, lb)``: the lowest ``count`` eigenpairs of the banded pencil,
     bit for bit those of ``sla.eigh(K, M, subset_by_index=(0, count - 1),
@@ -180,7 +210,6 @@ def _estimate_lambda_max(kb, mb, lb):
     return x @ band_matvec(kb, x) / (x @ band_matvec(mb, x))
 
 
-@serial_blas
 def solve_spectrum(op, count):
     """Lowest ``count`` eigenpairs of the clamped pencil, polished and signed.
 
@@ -189,7 +218,9 @@ def solve_spectrum(op, count):
     floating-point floor proportional to eps * lambda_max of the pencil:
     representing any vector in float64 already incurs a residual of that
     size, so demanding 1e-8 * lambda_n alone is unattainable for the low
-    modes on fine meshes.  A non-integer ``count`` is a TypeError.
+    modes on fine meshes.  A non-integer ``count`` is a TypeError.  The
+    dense eigh runs at the caller's BLAS thread counts, the rest on one
+    thread.
     """
     count = _integer(count, "count")
     if count < 1:
@@ -202,10 +233,16 @@ def solve_spectrum(op, count):
         if not all(np.isfinite(band[i, : band.shape[1] - i]).all() for i in range(len(band))):
             raise ValueError(f"{name} matrix has non-finite entries")
 
-    # the dense eigh's kernels are the calls that gain from BLAS threads
-    with entry_threads():
-        lams, v, lb = _dense_eigh(kb, mb, count)
+    # unpinned: the dense eigh's kernels are the calls that gain from BLAS threads
+    return _polished(op, *_dense_eigh(kb, mb, count))
 
+
+@serial_blas
+def _polished(op, lams, v, lb):
+    """The dense pairs ``(lams, v)`` polished in place, M-orthonormalized,
+    signed and gated: the SpectralData of :func:`solve_spectrum`."""
+    kb, mb = op.constrained_bands()
+    count = len(lams)
     # shifted inverse iteration plus Rayleigh quotient on the banded pencil
     k = kb.shape[0] - 1
     k3, m3 = _gbsv_form(kb), _gbsv_form(mb)

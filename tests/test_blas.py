@@ -1,6 +1,7 @@
 """Every entry point runs on one OpenBLAS thread and restores the count;
 only the dense eigh's four kernels inside solve_spectrum run at the caller's
-count."""
+count, which is one thread when the caller pins BLAS itself.  Where no
+OpenBLAS is found, the pin does nothing."""
 
 import sys
 import threading
@@ -54,6 +55,49 @@ def test_dense_eigh_alone_runs_at_entry_counts(blas, monkeypatch):
     assert _counts(blas) == entry
 
 
+def test_a_caller_that_pins_blas_gets_a_serial_eigh(blas, var_profile, monkeypatch):
+    # 1022 dofs: large enough that a threaded eigh changes the spectrum's last bits
+    op = assemble(var_profile, 512)
+    seen = {}
+    monkeypatch.setattr(bischro.spectrum, "_sygst",
+                        _spy(seen, "_sygst", bischro.spectrum._sygst, blas))
+    pinned = serial_blas(solve_spectrum)(op, 51)
+    for _, set_ in blas:
+        set_(1)
+    serial = solve_spectrum(op, 51)
+    assert seen == {"_sygst": [[1] * len(blas), [1] * len(blas)]}
+    for name in ("eigenvalues", "modes", "traces", "residuals"):
+        assert np.array_equal(getattr(pinned, name), getattr(serial, name))
+
+
+def test_pin_does_nothing_without_openblas(monkeypatch, rng):
+    # the real libraries, where loaded, at two threads: with none found the
+    # pin must leave them there, in the dense eigh and after it alike
+    libs = bischro._blas._openblas()
+    saved = _counts(libs)
+    for _, set_ in libs:
+        set_(2)
+    seen = {}
+    for name in ("_sygst", "_pbtrs"):
+        monkeypatch.setattr(bischro.spectrum, name,
+                            _spy(seen, name, getattr(bischro.spectrum, name), libs))
+    monkeypatch.setattr(bischro._blas, "_openblas", lambda: ())
+    try:
+        sd = solve_spectrum(assemble(constant_profile(), 64), 8)
+        assert validate_spectrum(sd).passed
+        state = modal_state(sd, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        moments = moments_for_null(state, sd, sd.sigma_at_right_end())
+        assert synthesize_moment_control(moments, sd, 0.5).residual_final < 1e-8
+        after = _counts(libs)
+    finally:
+        for (_, set_), n in zip(libs, saved):
+            set_(n)
+    assert _SERIAL._depth == 0
+    assert all(counts == [2] * len(libs) for calls in seen.values() for counts in calls)
+    assert set(seen) == {"_sygst", "_pbtrs"}
+    assert after == [2] * len(libs)
+
+
 def _polish_breakdown(monkeypatch):
     monkeypatch.setattr(bischro.spectrum, "_gbsv",
                         lambda kl, ku, ab, b, **kwargs: (ab, None, np.full_like(b, np.nan), 0))
@@ -103,7 +147,7 @@ def test_threads_restored_after_solve_failure(blas, monkeypatch, inject):
     error, message = inject(monkeypatch)
     with pytest.raises(error, match=message):
         solve_spectrum(assemble(constant_profile(), 32), 4)
-    assert (_SERIAL._depth, _SERIAL._threaded) == (0, 0)
+    assert _SERIAL._depth == 0
     assert _counts(blas) == entry
 
 
@@ -201,7 +245,7 @@ def test_threads_restored_under_concurrent_callers(blas, sd_const_128):
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
-    def solve():  # opens and closes the eigh's threaded sub-scope inside the others'
+    def solve():  # runs its eigh unpinned and pins its polish while the others pin
         try:
             for _ in range(100):
                 solve_spectrum(op, 4)
@@ -221,5 +265,5 @@ def test_threads_restored_under_concurrent_callers(blas, sd_const_128):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-    assert (_SERIAL._depth, _SERIAL._threaded) == (0, 0)
+    assert _SERIAL._depth == 0
     assert _counts(blas) == before

@@ -77,6 +77,25 @@ def test_nonfinite_profile_input_rejected(key, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("length", True, "length must be a number, got bool"),
+    ("length", np.True_, "length must be a number, got bool"),
+    ("rho", True, "rho: expected number or dict, got bool"),
+    ("q", False, "q: expected number or dict, got bool"),
+    ("sigma", {"poly": [1.0, True]}, "sigma: poly entries must be numbers, got a bool"),
+    ("sigma", {"poly": np.array([True])}, "sigma: poly entries must be numbers, got a bool"),
+    ("rho", {"samples": [(0.0, 1.0), (1.0, True)]},
+     "rho: samples entries must be numbers, got a bool"),
+])
+def test_bool_is_not_a_number(key, value, message):
+    # each was read as 1.0 or 0.0: {"length": True, "rho": True, "sigma": 1.0,
+    # "q": False} built the unit profile
+    spec = {"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0, key: value}
+    with pytest.raises(ProfileError) as err:
+        build_profile(spec)
+    assert str(err.value) == message
+
+
 def test_first_malformed_coefficient_is_reported_in_rho_sigma_q_order():
     with pytest.raises(ProfileError, match="samples cover"):
         build_profile({"length": 1.0, "rho": {"samples": [(0.0, 1.0), (0.5, 1.0)]},

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import bischro.cli
-import bischro.operator
 import bischro.spectrum
 from bischro import ConfigError, assemble, build_profile, parse_config
 from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
@@ -338,7 +337,7 @@ def test_cli_dense_pencil_allocation_failure_exits_numerical(tmp_path, monkeypat
     # mmap fails with an OSError, which the CLI would report as a config error
     def unmappable(*args, **kwargs):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
-    monkeypatch.setattr(bischro.operator.mmap, "mmap", unmappable)
+    monkeypatch.setattr(bischro.spectrum.mmap, "mmap", unmappable)
     cfg = _write(tmp_path, MINIMAL)
     out = tmp_path / "dense"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL

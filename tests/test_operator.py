@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bischro import assemble, boundary_trace, constant_profile, solve_spectrum
-from bischro.operator import (MIN_ELEMENTS, band_matvec, band_to_dense, hermite_shapes,
-                              trusted_count)
+from bischro.operator import MIN_ELEMENTS, band_matvec, hermite_shapes, trusted_count
+from bischro.spectrum import band_to_dense
 
 from .oracles import _sym_band_matvec, gauss_integral, symmetrize
 
@@ -209,3 +209,13 @@ def test_evaluate_refuses_bad_derivative_and_abscissae(sd_const_128, x, derivati
         op.evaluate(mode, x, derivative)
     # abscissae within rounding of the ends are accepted
     assert np.isfinite(op.evaluate(mode, [-1e-13, 1.0 + 1e-13])).all()
+
+
+@pytest.mark.parametrize("derivative", [True, False, 1.0])
+def test_evaluate_derivative_must_be_an_integer(sd_const_128, derivative):
+    # True was read as 1 and gave the slope
+    op = sd_const_128.op
+    with pytest.raises(TypeError, match="^derivative must be an integer, got "):
+        op.evaluate(sd_const_128.modes[:, 0], 0.5, derivative)
+    assert op.evaluate(sd_const_128.modes[:, 0], 0.5, np.int64(1)) == \
+        op.evaluate(sd_const_128.modes[:, 0], 0.5, 1)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-import bischro.operator
 import bischro.spectrum
 from bischro import (NumericalError, assemble, build_profile, constant_profile, project_initial,
                      solve_spectrum, validate_spectrum)
@@ -155,7 +154,7 @@ def test_nonfinite_pencil_refused_before_any_densify(const_profile, monkeypatch,
 def test_unmappable_dense_pencil_is_a_memory_error(const_profile, monkeypatch):
     def unmappable(*args, **kwargs):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
-    monkeypatch.setattr(bischro.operator.mmap, "mmap", unmappable)
+    monkeypatch.setattr(bischro.spectrum.mmap, "mmap", unmappable)
     with pytest.raises(MemoryError, match="cannot allocate a 30-square dense pencil"):
         solve_spectrum(assemble(const_profile, 16), 4)
 
@@ -169,7 +168,7 @@ def test_refused_huge_page_advice_keeps_the_solve(const_profile, monkeypatch):
             raise OSError(errno.EINVAL, "Invalid argument")
     op = assemble(const_profile, 64)
     sd = solve_spectrum(op, 6)
-    monkeypatch.setattr(bischro.operator.mmap, "mmap", Unadvisable)
+    monkeypatch.setattr(bischro.spectrum.mmap, "mmap", Unadvisable)
     again = solve_spectrum(op, 6)
     assert advised == [(mmap.MADV_NOHUGEPAGE,)] * 3   # M, its factor's band, K
     assert np.array_equal(again.eigenvalues, sd.eigenvalues)
@@ -417,7 +416,7 @@ def test_dense_eigh_matches_scipy_eigh_bit_for_bit(blas, spec, elements, threads
     count = elements // 8
 
     def both():
-        full = [symmetrize(bischro.operator.band_to_dense(band)) for band in (kb, mb)]
+        full = [symmetrize(bischro.spectrum.band_to_dense(band)) for band in (kb, mb)]
         return (sla.eigh(*full, subset_by_index=(0, count - 1)),
                 sla.cholesky(full[1], lower=True),
                 bischro.spectrum._dense_eigh(kb, mb, count))
@@ -426,7 +425,7 @@ def test_dense_eigh_matches_scipy_eigh_bit_for_bit(blas, spec, elements, threads
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
     assert lb.shape == mb.shape and lb.flags.f_contiguous
-    assert np.array_equal(bischro.operator.band_to_dense(lb), factor)
+    assert np.array_equal(bischro.spectrum.band_to_dense(lb), factor)
 
 
 @pytest.mark.parametrize("elements", [64, 512])
