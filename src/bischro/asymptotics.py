@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import WaveGeometry, geometry
+from .coefficients import WaveGeometry, _integer, geometry
 
 ROOT_RESIDUAL_TOL = 1e-10
 MIN_REPORT_MODES = 5  # trusted modes the gap and trace reports need
@@ -38,7 +38,8 @@ def _char_scaled(x):
 
 def characteristic_roots(geo, count):
     """First ``count`` positive roots of cos(mu*gamma)cosh(mu*gamma) = 1,
-    gamma the optical length of the WaveGeometry ``geo``.
+    gamma the optical length of the WaveGeometry ``geo``; a ``count`` that
+    is not an integer is a TypeError, one below 1 a ValueError.
 
     The k-th root lies within 0.5 of (k + 1/2) pi / gamma and the scaled
     characteristic function changes sign across that bracket (|cos| =
@@ -46,8 +47,7 @@ def characteristic_roots(geo, count):
     finding cannot miss or skip roots.
     """
     from scipy.optimize import brentq
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer(count, "count", 1)
     gamma = geo.optical_length
     roots = np.empty(count)
     for k in range(1, count + 1):

@@ -9,14 +9,18 @@ and a nonnegative first-order coefficient q, each a plain callable:
 NumPy's ``polyval`` bound to its coefficients, or SciPy's PCHIP through
 samples.  Everything downstream consumes them through
 :class:`CoefficientProfile`, which :func:`build_profile` returns only
-once every input is finite and positivity holds on a dense validation
-grid, and through
-:class:`WaveGeometry`, which tabulates the quantities controlling the
-high-frequency behaviour of the spectrum:
+once every input is a number by :func:`_real` and positivity holds on a
+dense validation grid, and through :class:`WaveGeometry`, which
+tabulates the quantities controlling the high-frequency behaviour of
+the spectrum:
 
     optical_length = integral_0^ell (rho/sigma)^(1/4) dx
     phase(x)       = the same integral truncated at x
     amplitude(x)   = ( rho(x)^(3/4) sigma(x)^(1/4) )^(-1/2)
+
+This lowest module holds the package's input rules, which every scalar
+entry point checks with: :func:`_real` (a number), :func:`_integer` (a
+count) and :func:`_items` (a list of either).
 
 Both integrals use one fixed rule, composite Gauss-Legendre of order
 DEFAULT_ORDER on DEFAULT_CELLS equal cells, so identical inputs give
@@ -28,6 +32,7 @@ estimate and takes no cell count.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -43,44 +48,68 @@ class ProfileError(ValueError):
 VALIDATION_POINTS = 4096
 DEFAULT_CELLS = 256
 DEFAULT_ORDER = 4
+_NUMBER = (int, float, np.integer, np.floating)
 
 
-def _is_bool(v):
-    """True if ``v`` is a bool, or a list, tuple or array holding one."""
-    return any(isinstance(x, (bool, np.bool_)) for x in np.asarray(v, dtype=object).flat)
+def _real(v):
+    """A finite int, float, or NumPy integer or float scalar: never a bool, a
+    string, None or a complex; an int past the float range is not finite."""
+    try:
+        return isinstance(v, _NUMBER) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _integer(n, what, at_least=-math.inf):
+    """``n`` as an int: anything but an int or a NumPy integer is a
+    TypeError naming ``what``, an integer below ``at_least`` a ValueError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {type(n).__name__}")
+    if n < at_least:
+        raise ValueError(f"{what} must be >= {at_least}, got {n}")
+    return int(n)
+
+
+def _items(v, check, at_least=1):
+    """A list, tuple or ndarray of ndim >= 1: ``at_least`` or more items, all passing ``check``."""
+    return ((isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim >= 1)
+            and len(v) >= at_least and all(map(check, v)))
+
+
+def _number(name, refusal, v):
+    """True if ``v`` passes :func:`_real`, else a ProfileError: "``name``
+    must be finite" for a number, ``refusal`` and the type name otherwise."""
+    if _real(v):
+        return True
+    if isinstance(v, _NUMBER) and not isinstance(v, bool):
+        raise ProfileError(f"{name} must be finite")
+    raise ProfileError(refusal + type(v).__name__)
 
 
 def _coefficient(spec, name, length):
     """A number or ``{"poly": [...]}`` (increasing degree) as ``polyval``;
     ``{"samples": [(x, v), ...]}`` covering [0, length] as a monotone
     piecewise cubic (PCHIP), which is C1 and never overshoots the data
-    range, so strictly positive samples give a positive interpolant.  A bool
-    is not a number, neither as the coefficient nor inside its lists."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    range, so strictly positive samples give a positive interpolant.  Each
+    number is checked by :func:`_real` before NumPy converts anything."""
+    if not isinstance(spec, dict):
+        _number(name, f"{name}: expected number or dict, got ", spec)
         spec = {"poly": [float(spec)]}
-    elif not isinstance(spec, dict):
-        raise ProfileError(f"{name}: expected number or dict, got {type(spec).__name__}")
     unknown = set(spec) - {"poly", "samples"}
     if unknown:
         raise ProfileError(f"{name}: unknown coefficient keys {sorted(unknown)}")
     poly, samples = spec.get("poly"), spec.get("samples")
     if (poly is None) == (samples is None):
         raise ProfileError("coefficient needs exactly one of poly= or samples=")
-    for key, entries in (("poly", poly), ("samples", samples)):
-        if _is_bool(entries):
-            raise ProfileError(f"{name}: {key} entries must be numbers, got a bool")
+    key = "poly" if samples is None else "samples"
+    entry = functools.partial(_number, name, f"{name}: {key} entries must be numbers, got a ")
     if poly is not None:
-        coeffs = np.atleast_1d(np.asarray(poly, dtype=float))
-        if coeffs.ndim != 1 or coeffs.size == 0:
+        if not _items(poly, lambda c: not isinstance(c, (list, tuple, np.ndarray)) and entry(c)):
             raise ProfileError("poly must be a nonempty 1-d coefficient list")
-        if not np.all(np.isfinite(coeffs)):
-            raise ProfileError(f"{name} must be finite")
-        return functools.partial(np.polynomial.polynomial.polyval, c=coeffs)
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        return functools.partial(np.polynomial.polynomial.polyval, c=np.asarray(poly, dtype=float))
+    if not _items(samples, lambda p: _items(p, entry, 2) and len(p) == 2, 2):
         raise ProfileError("samples must be a list of at least two (x, value) pairs")
-    if not np.all(np.isfinite(pts)):
-        raise ProfileError(f"{name} must be finite")
+    pts = np.asarray(samples, dtype=float)
     xs, vs = pts[:, 0], pts[:, 1]
     if np.any(np.diff(xs) <= 0):
         raise ProfileError("sample abscissae must be strictly increasing")
@@ -110,9 +139,9 @@ def _validation_grid(length):
 def build_profile(spec):
     """Build a validated profile from a description dict.
 
-    ``spec`` maps ``length`` to a positive real and each of ``rho``,
+    ``spec`` maps ``length`` to a positive number and each of ``rho``,
     ``sigma``, ``q`` to a number, a ``{"poly": [...]}`` dict or a
-    ``{"samples": [(x, v), ...]}`` dict; a bool is none of these.
+    ``{"samples": [(x, v), ...]}`` dict, each number one by :func:`_real`.
     Positivity (rho, sigma > 0, q >= 0) is enforced on a dense grid; the
     first offending abscissa is reported.
     """
@@ -125,13 +154,10 @@ def build_profile(spec):
     if missing:
         raise ProfileError(f"profile spec missing keys {sorted(missing)}")
 
-    if _is_bool(spec["length"]):
-        raise ProfileError("length must be a number, got bool")
+    _number("length", "length must be a number, got ", spec["length"])
     length = float(spec["length"])
     if not length > 0:
         raise ProfileError(f"interval length must be positive, got {length:g}")
-    if not np.isfinite(length):
-        raise ProfileError("length must be finite")
     rho = _coefficient(spec["rho"], "rho", length)
     sigma = _coefficient(spec["sigma"], "sigma", length)
     q = _coefficient(spec["q"], "q", length)

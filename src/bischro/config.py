@@ -5,11 +5,12 @@ Sections are ``[experiment]``, exactly one ``[profile]``, and an optional
 first ``#`` on a line is a comment.  Every key is read and checked by
 one entry of ``_KEYS``: values are Python literals, so coefficient data
 reads naturally as ``rho_poly = [1.0, 2.0]`` or
-``rho_samples = [(0, 1), (0.5, 2), (1, 1)]``; ``kind`` is a bare word
-and ``export_matrices`` is ``true`` or ``false``.  The config describes
-the experiment only: where its files go is the CLI's ``--out``.  The
-rules that involve several keys follow the table, among them the
-trusted-mode minimum of the asymptotics and observability kinds
+``rho_samples = [(0, 1), (0.5, 2), (1, 1)]``, each number and count
+checked by the rules of :mod:`bischro.coefficients`; ``kind`` is a bare
+word and ``export_matrices`` is ``true`` or ``false``.  The config
+describes the experiment only: where its files go is the CLI's
+``--out``.  The rules that involve several keys follow the table, among
+them the trusted-mode minimum of the asymptotics and observability kinds
 (:func:`bischro.operator.trusted_count`), so every error the config
 alone decides is found before any solve.  Parsing collects every error
 with its line number instead of stopping at the first.
@@ -18,10 +19,10 @@ with its line number instead of stopping at the first.
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass
 
 from .asymptotics import MIN_REPORT_MODES
+from .coefficients import _integer, _items, _real
 from .operator import MIN_ELEMENTS, constrained_dimension, trusted_count
 
 KINDS = ("spectrum", "asymptotics", "observability", "control", "simulate")
@@ -50,19 +51,6 @@ class ExperimentConfig:
     export_matrices: bool
 
 
-def _real(v):
-    """A finite int or float; bools are not numbers here."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _int(v, low):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= low
-
-
-def _items(v, check, at_least=1):
-    return isinstance(v, (list, tuple)) and len(v) >= at_least and all(map(check, v))
-
-
 def _word(raw):
     return raw.strip("'\"")
 
@@ -81,9 +69,9 @@ _SAMPLES = (_literal, lambda v: _items(v, lambda p: _items(p, _real, 2) and len(
 _KEYS = {
     "experiment": {
         "kind": (_word, KINDS.__contains__, f"must be one of {'|'.join(KINDS)}"),
-        "elements": (_literal, lambda v: _int(v, MIN_ELEMENTS),
+        "elements": (_literal, lambda v: _integer(v, "elements", MIN_ELEMENTS),
                      f"must be an integer >= {MIN_ELEMENTS}"),
-        "modes": (_literal, lambda v: _int(v, 1), "must be a positive integer"),
+        "modes": (_literal, lambda v: _integer(v, "modes", 1), "must be a positive integer"),
         "horizons": (_literal, lambda v: _items(v, lambda t: _real(t) and t > 0),
                      "must be a nonempty list of positive reals"),
         "export_matrices": (_flag, lambda v: isinstance(v, bool), "must be true or false"),
@@ -96,7 +84,8 @@ _KEYS = {
     "initial": {
         "coefficients": (
             _literal,
-            lambda v: _items(v, lambda p: _items(p, _real, 3) and len(p) == 3 and _int(p[0], 1)),
+            lambda v: _items(v, lambda p: _items(p, _real, 3) and len(p) == 3
+                             and _integer(p[0], "mode", 1)),
             "must be a list of (mode, re, im) triples with 1-based mode indices",
         ),
     },

@@ -35,6 +35,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
+from .coefficients import _real
 from .operator import band_matvec
 from .spectrum import SpectralData
 
@@ -85,12 +86,13 @@ def modal_state(sd, coefficients):
 
 
 def _check_problem(state, sd, sigma_l):
-    """Refuse a state of another basis or a sigma_l other than the basis's sigma(ell)."""
+    """Refuse a state of another basis or a sigma_l other than the number
+    sigma(ell) of the basis."""
     if state.basis is not sd:
         raise ValueError("state and spectral data refer to different bases")
     own = sd.sigma_at_right_end()
-    if sigma_l != own:
-        raise ValueError(f"sigma_l = {sigma_l} differs from sigma(ell) = {own} of the "
+    if not (_real(sigma_l) and sigma_l == own):
+        raise ValueError(f"sigma_l = {sigma_l!r} differs from sigma(ell) = {own} of the "
                          "basis; pass sd.sigma_at_right_end()")
 
 
@@ -100,9 +102,9 @@ def project_initial(sd, y0, derivative=None):
 
     ``y0`` may be a callable on [0, ell] (optionally with its derivative),
     a ``(xs, values)`` sample pair, or a dof vector of the underlying
-    mesh.  The returned state carries the relative M-norm residual of the
-    truncated reconstruction; non-finite data, and a ``derivative`` with
-    data that is not callable, are refused.
+    mesh, else a ValueError.  The returned state carries the relative
+    M-norm residual of the truncated reconstruction; non-finite data, and
+    a ``derivative`` with data that is not callable, are refused.
     """
     if derivative is not None and not callable(y0):
         raise ValueError("derivative is accepted only with a callable y0")
@@ -110,10 +112,12 @@ def project_initial(sd, y0, derivative=None):
     if callable(y0):
         dofs = op.interpolate(y0, derivative)
     elif isinstance(y0, tuple) and len(y0) == 2:
-        xs = np.asarray(y0[0], dtype=float)
-        vals = np.asarray(y0[1])
-        if xs.ndim != 1 or xs.shape != vals.shape:
-            raise ResamplingError("samples must be two equal-length 1-d arrays")
+        xs, vals = np.asarray(y0[0], dtype=float), np.asarray(y0[1])
+        if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2 or vals.dtype.kind not in "iufc":
+            raise ResamplingError("samples must be two equal-length 1-d numeric arrays "
+                                  "of at least two points")
+        if not (np.isfinite(xs).all() and np.isfinite(vals).all()):
+            raise ValueError("initial data must be finite")
         if xs[0] > 1e-9 * op.profile.length or xs[-1] < op.profile.length * (1 - 1e-9):
             raise ResamplingError("samples must cover the whole interval [0, ell]")
         dx = np.diff(xs)
@@ -129,7 +133,11 @@ def project_initial(sd, y0, derivative=None):
         spl = CubicSpline(xs, vals)
         dofs = op.interpolate(spl, lambda x: spl(x, 1))
     else:
-        dofs = op.expand(np.asarray(y0))
+        y = np.asarray(y0)
+        if y.ndim != 1 or y.dtype.kind not in "iufc":
+            raise ValueError("y0 must be a callable on [0, ell], an (xs, values) tuple of samples "
+                             f"or a 1-d numeric dof vector, got {y.dtype} of shape {y.shape}")
+        dofs = op.expand(y)
     if not np.isfinite(dofs).all():
         raise ValueError("initial data must be finite")
 
@@ -148,9 +156,9 @@ def project_initial(sd, y0, derivative=None):
 
 
 def evolve_free(state, t):
-    """Advance by a finite t under the uncontrolled flow: exact diagonal phases."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    """Advance by t, a finite number, under the uncontrolled flow: exact diagonal phases."""
+    if not _real(t):
+        raise ValueError(f"time must be a finite number, got {t!r}")
     lam = state.frequencies
     coeff = state.coefficients * np.exp(1j * lam * t)
     return ModalState(coefficients=coeff, basis=state.basis)
@@ -160,10 +168,10 @@ def sobolev_norm(state, theta):
     """Spectral-scale norm sqrt(sum lambda_n^(2 theta) |c_n|^2).
 
     theta = 1/2 is the clamped H^2 norm, theta = -1/2 the dual H^-2 norm,
-    theta = 0 the plain rho-weighted L^2 norm.  A non-finite theta is refused.
+    theta = 0 the plain rho-weighted L^2 norm; theta must be a finite number.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    if not _real(theta):
+        raise ValueError(f"theta must be a finite number, got {theta!r}")
     lam = state.frequencies
     return float(np.sqrt(np.sum(lam ** (2.0 * theta) * np.abs(state.coefficients) ** 2)))
 
@@ -205,11 +213,10 @@ class ExponentialSum:
 
 
 def _positive_horizon(horizon):
-    """The horizon as a float, refused unless positive and finite."""
-    T = float(horizon)
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"horizon must be positive and finite, got {T!r}")
-    return T
+    """The horizon as a float, refused unless a positive finite number."""
+    if not (_real(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
+    return float(horizon)
 
 
 @dataclass(frozen=True)
@@ -272,12 +279,12 @@ def _gram(key, T):
 def phase_integral(omega, horizon):
     """integral_0^T exp(i omega t) dt, elementwise, stable near omega = 0.
 
-    A non-finite horizon is refused; a negative one is allowed.
+    A horizon that is not a finite number is refused; a negative one is allowed.
     """
+    if not _real(horizon):
+        raise ValueError(f"horizon must be a finite number, got {horizon!r}")
     omega = np.asarray(omega, dtype=float)
     T = float(horizon)
-    if not math.isfinite(T):
-        raise ValueError(f"horizon must be finite, got {T!r}")
     z = omega * T
     small = np.abs(z) < 1e-2
     out = np.asarray((np.exp(1j * z) - 1.0) / (1j * np.where(small, 1.0, omega)))
@@ -365,9 +372,9 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
     basis is refused.  ``f`` is an :class:`ExponentialSum` (moments
     integrate in closed form; on the state's own frequencies the phase
     table is the cached Gram) or a ``(ts, fs)`` tabulation on a uniform
-    grid covering [0, horizon] (Filon-Simpson moments).  A non-finite
-    tabulation, or one with fewer than SAMPLES_PER_PERIOD points per period
-    of the fastest retained mode, is refused rather than silently dephased.
+    grid covering [0, horizon] (Filon-Simpson moments), else a TypeError.
+    A non-finite tabulation, or one with fewer than SAMPLES_PER_PERIOD points
+    per period of the fastest retained mode, is refused, not dephased.
     """
     _check_problem(state0, sd, sigma_l)
     horizon = _positive_horizon(horizon)
@@ -384,7 +391,7 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
         else:
             phases = phase_integral(-np.subtract.outer(lam, f.frequencies), horizon)
         moments = np.sum(phases * f.weights, axis=1)
-    else:
+    elif isinstance(f, tuple) and len(f) == 2:
         ts, fs, dt = _uniform_grid(*f)
         if abs(ts[0]) > 1e-12 * horizon or abs(ts[-1] - horizon) > 1e-9 * horizon:
             raise ValueError("tabulation must cover exactly [0, horizon]")
@@ -398,6 +405,9 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
                 f"{SAMPLES_PER_PERIOD} per period; provide at least {required}"
             )
         moments = _filon_moments(ts, fs, dt, lam)
+    else:
+        raise TypeError("f must be an ExponentialSum or a (ts, fs) tabulation, "
+                        f"got {type(f).__name__}")
 
     coeff = np.exp(1j * lam * horizon) * (
         state0.coefficients + 1j * sigma_l * traces * moments

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas as _blas
 
-from .coefficients import CoefficientProfile, _gauss_rule
+from .coefficients import CoefficientProfile, _gauss_rule, _integer
 
 MIN_ELEMENTS = 10  # the coarsest mesh on which trusted_count certifies a mode
 HALF_BANDWIDTH = 3
@@ -53,12 +53,6 @@ def hermite_shapes(xi, h):
         (6 * xi - 2) / h,
     ], axis=-1)
     return N, dN, d2N
-
-
-def _integer(n, what):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {type(n).__name__}")
-    return int(n)
 
 
 def constrained_dimension(elements):

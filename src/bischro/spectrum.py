@@ -48,7 +48,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .operator import DiscreteOperator, _integer, band_matvec, boundary_trace, trusted_count
+from .coefficients import _integer
+from .operator import DiscreteOperator, band_matvec, boundary_trace, trusted_count
 
 RESIDUAL_TOL = 1e-8
 # validate_spectrum flags: relative neighbor gap, right-end trace magnitude
@@ -218,13 +219,11 @@ def solve_spectrum(op, count):
     floating-point floor proportional to eps * lambda_max of the pencil:
     representing any vector in float64 already incurs a residual of that
     size, so demanding 1e-8 * lambda_n alone is unattainable for the low
-    modes on fine meshes.  A non-integer ``count`` is a TypeError.  The
-    dense eigh runs at the caller's BLAS thread counts, the rest on one
-    thread.
+    modes on fine meshes.  A non-integer ``count`` is a TypeError, one
+    below 1 a ValueError.  The dense eigh runs at the caller's BLAS
+    thread counts, the rest on one thread.
     """
-    count = _integer(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer(count, "count", 1)
     if count > op.n_dof:
         raise ValueError(f"count={count} exceeds constrained dimension {op.n_dof}")
     kb, mb = op.constrained_bands()

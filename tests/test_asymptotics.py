@@ -40,6 +40,19 @@ def test_roots_match_frozen_oracle(const_geometry):
     assert roots == pytest.approx(np.array(CLAMPED_ROOTS), rel=1e-12)
 
 
+@pytest.mark.parametrize("count", [2.5, True, "3", None])
+def test_root_count_must_be_an_integer(const_geometry, count):
+    # 2.5 was NumPy's "expected a sequence of integers" TypeError, True gave one root
+    with pytest.raises(TypeError, match="^count must be an integer, got "):
+        characteristic_roots(const_geometry, count)
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_root_count_below_one_refused(const_geometry, count):
+    with pytest.raises(ValueError, match=f"^count must be >= 1, got {count}$"):
+        characteristic_roots(const_geometry, count)
+
+
 def test_second_spacing_near_pi(const_geometry):
     r = characteristic_roots(const_geometry, 2)
     # the deviation from pi is 0.587 percent, frozen from the oracle roots

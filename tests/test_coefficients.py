@@ -57,6 +57,11 @@ def test_negative_q_rejected():
      "sample abscissae must be strictly increasing"),
     ({"samples": [(0.0, 1.0), (0.5, 1.0)]}, "samples cover [0, 0.5] but must cover [0, 1]"),
     ({"samples": [(0.1, 1.0), (1.0, 1.0)]}, "samples cover [0.1, 1] but must cover [0, 1]"),
+    # each was a bare NumPy ValueError
+    ({"poly": "abc"}, "poly must be a nonempty 1-d coefficient list"),
+    ({"samples": [(0.0, 1.0), (1.0,)]}, "samples must be a list of at least two (x, value) pairs"),
+    ({"samples": [(0.0, 1.0), (0.5, 1.0, 2.0), (1.0, 1.0)]},
+     "samples must be a list of at least two (x, value) pairs"),
 ])
 def test_malformed_coefficient_spec_rejected(spec, message):
     with pytest.raises(ProfileError) as err:
@@ -86,14 +91,48 @@ def test_nonfinite_profile_input_rejected(key, value, message):
     ("sigma", {"poly": np.array([True])}, "sigma: poly entries must be numbers, got a bool"),
     ("rho", {"samples": [(0.0, 1.0), (1.0, True)]},
      "rho: samples entries must be numbers, got a bool"),
+    # nor is a string, None or a complex: the strings were read as numbers,
+    # the rest raised bare TypeErrors, and a None entry read "rho must be finite"
+    ("length", "1.0", "length must be a number, got str"),
+    ("length", None, "length must be a number, got NoneType"),
+    ("length", 1 + 0j, "length must be a number, got complex"),
+    ("rho", {"poly": ["2.0"]}, "rho: poly entries must be numbers, got a str"),
+    ("rho", {"samples": [("0", "1"), ("1", "1")]},
+     "rho: samples entries must be numbers, got a str"),
+    ("rho", {"poly": [1 + 1j]}, "rho: poly entries must be numbers, got a complex"),
+    ("rho", {"poly": [None]}, "rho: poly entries must be numbers, got a NoneType"),
 ])
 def test_bool_is_not_a_number(key, value, message):
-    # each was read as 1.0 or 0.0: {"length": True, "rho": True, "sigma": 1.0,
+    # each bool was read as 1.0 or 0.0: {"length": True, "rho": True, "sigma": 1.0,
     # "q": False} built the unit profile
     spec = {"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0, key: value}
     with pytest.raises(ProfileError) as err:
         build_profile(spec)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("numpy_value, value", [(np.float32(1.5), 1.5), (np.int64(2), 2.0)])
+def test_numpy_scalar_builds_the_python_float_profile(numpy_value, value):
+    # a NumPy scalar coefficient was refused with "expected number or dict,
+    # got float32" while a NumPy poly array passed
+    def spec(v):
+        return {"length": v, "rho": v, "sigma": {"poly": [v, 0.5]},
+                "q": {"samples": [(0.0, v), (v, 0.0)]}}
+
+    a, b = build_profile(spec(numpy_value)), build_profile(spec(value))
+    assert a.length == b.length == value
+    xs = np.linspace(0.0, value, 65)
+    for name in ("rho", "sigma", "q"):
+        assert np.array_equal(getattr(a, name)(xs), getattr(b, name)(xs))
+
+
+def test_samples_may_be_a_k_by_2_array():
+    pts = np.array([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)])
+    a = build_profile({"length": 1.0, "rho": {"samples": pts}, "sigma": 1.0, "q": 0.0})
+    b = build_profile({"length": 1.0, "rho": {"samples": [tuple(p) for p in pts]},
+                       "sigma": 1.0, "q": 0.0})
+    xs = np.linspace(0.0, 1.0, 33)
+    assert np.array_equal(a.rho(xs), b.rho(xs))
 
 
 def test_first_malformed_coefficient_is_reported_in_rho_sigma_q_order():

@@ -399,7 +399,7 @@ def test_nonpositive_or_nonfinite_horizon_refused(sd_const_128, horizon):
         lambda: observability_constants(sd, horizon, 4),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="horizon must be positive"):
+        with pytest.raises(ValueError, match="horizon must be a positive finite number"):
             call()
 
 

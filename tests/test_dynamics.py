@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bischro.dynamics
 from bischro import (
     CoarseSamplingError,
     ExponentialSum,
@@ -15,10 +16,13 @@ from bischro import (
     evolve_controlled,
     evolve_free,
     modal_state,
+    moments_for_null,
+    observability_constants,
     phase_integral,
     project_initial,
     sobolev_norm,
     solve_spectrum,
+    synthesize_moment_control,
 )
 from bischro.dynamics import SAMPLES_PER_PERIOD, _filon_moments, _gram, _uniform_grid, gram
 
@@ -116,16 +120,41 @@ def test_project_complex_data_splits_into_real_parts(sd_const_128):
 
 
 def test_project_refuses_nonfinite_data(sd_const_128):
-    # unchecked, a NaN datum gives NaN coefficients and a projection residual of 0.0
+    # unchecked, a NaN datum gives NaN coefficients and a projection residual of 0.0;
+    # a NaN sample reached SciPy's "`y` (or `x`) must contain only finite values"
     sd = sd_const_128
     dofs = sd.modes[:, 0].copy()
     dofs[7] = np.nan
+    xs = np.linspace(0, 1, 4 * sd.op.n_elements + 1)
+    bad = xs.copy()
+    bad[7] = np.nan
     cases = (lambda: project_initial(sd, lambda x: np.where(x > 0.5, np.nan, x),
                                      lambda x: np.ones_like(x)),
-             lambda: project_initial(sd, dofs))
+             lambda: project_initial(sd, dofs),
+             lambda: project_initial(sd, (xs, bad)),
+             lambda: project_initial(sd, (bad, xs)))
     for project in cases:
         with pytest.raises(ValueError, match="^initial data must be finite$"):
             project()
+
+
+@pytest.mark.parametrize("y0, error, message", [
+    ((np.array([]), np.array([])), ResamplingError,
+     "samples must be two equal-length 1-d numeric arrays of at least two points"),
+    ((np.zeros(1), np.zeros(1)), ResamplingError,
+     "samples must be two equal-length 1-d numeric arrays of at least two points"),
+    (3.0, ValueError, "y0 must be a callable on [0, ell], an (xs, values) tuple of samples "
+                      "or a 1-d numeric dof vector, got float64 of shape ()"),
+    (np.zeros((2, 254)), ValueError, "y0 must be a callable on [0, ell], an (xs, values) tuple "
+                                     "of samples or a 1-d numeric dof vector, got float64 of "
+                                     "shape (2, 254)"),
+])
+def test_project_refuses_malformed_data(sd_const_128, y0, error, message):
+    # an IndexError, "samples must cover the whole interval", an IndexError
+    # and an f2py error from dsbmv
+    assert sd_const_128.op.n_dof == 254
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        project_initial(sd_const_128, y0)
 
 
 def test_project_refuses_derivative_without_callable_data(sd_const_128):
@@ -172,7 +201,7 @@ def test_evolve_free_group_property(sd_const_128, rng):
 def test_evolve_free_refuses_nonfinite_time(sd_const_128, t):
     # unchecked, the coefficients came back NaN, for a NaN time with no warning
     state = modal_state(sd_const_128, [1.0, 0.5j])
-    with pytest.raises(ValueError, match="^time must be finite"):
+    with pytest.raises(ValueError, match="^time must be a finite number"):
         evolve_free(state, t)
     back = evolve_free(evolve_free(state, -0.3), 0.3)   # finite negative times stay allowed
     assert back.coefficients == pytest.approx(state.coefficients, rel=1e-14)
@@ -203,7 +232,7 @@ def test_free_evolution_conserves_every_scale(sd_const_128, rng):
 def test_sobolev_norm_refuses_nonfinite_theta(sd_const_128, theta):
     # unchecked, inf gave inf, -inf gave 0.0 and NaN gave NaN, with no warning
     state = modal_state(sd_const_128, [1.0, 0.5j])
-    with pytest.raises(ValueError, match="^theta must be finite"):
+    with pytest.raises(ValueError, match="^theta must be a finite number"):
         sobolev_norm(state, theta)
 
 
@@ -253,7 +282,7 @@ def test_phase_integral_array_matches_scalar_calls_bitwise():
 @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])
 def test_phase_integral_refuses_nonfinite_horizon(horizon):
     # unchecked, NaN came back silently and inf with RuntimeWarnings
-    with pytest.raises(ValueError, match="^horizon must be finite"):
+    with pytest.raises(ValueError, match="^horizon must be a finite number"):
         phase_integral([0.0, 1.0], horizon)
 
 
@@ -487,6 +516,14 @@ def test_tabulated_control_shape_checked_before_coverage(sd_const_128):
             evolve_controlled(state, sd, 1.0, (ts, fs), T)
 
 
+@pytest.mark.parametrize("f", [(np.linspace(0.0, 0.5, 2001),), [1, 2, 3], None])
+def test_controlled_solve_refuses_other_forms_of_control(sd_const_128, f):
+    # a tuple of one and a list of three reached _uniform_grid's signature as TypeErrors
+    state = modal_state(sd_const_128, [1.0, 0.5])
+    with pytest.raises(TypeError, match=r"^f must be an ExponentialSum or a \(ts, fs\) tabulation"):
+        evolve_controlled(state, sd_const_128, sd_const_128.sigma_at_right_end(), f, 0.5)
+
+
 def test_tabulated_control_refuses_nonfinite_samples(const_profile):
     # unchecked, one NaN sample turns every coefficient into NaN without a warning
     sd = solve_spectrum(assemble(const_profile, 64), 2)
@@ -617,3 +654,35 @@ def test_forward_table_consistent_under_concurrent_callers(sd_const_128, cold_gr
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
+
+
+# ---- the number rule on every scalar ---------------------------------------
+
+_SCALAR_CALLS = {
+    "gram": lambda sd, st, v: gram(sd.eigenvalues[:4], v),
+    "ExponentialSum.norm": lambda sd, st, v: ExponentialSum([1.0, 2.0], [1.0, 1.0]).norm(v),
+    "synthesize_moment_control": lambda sd, st, v: synthesize_moment_control(
+        moments_for_null(st, sd, sd.sigma_at_right_end()), sd, v),
+    "observability_constants": lambda sd, st, v: observability_constants(sd, v, 2),
+    "evolve_controlled": lambda sd, st, v: evolve_controlled(
+        st, sd, sd.sigma_at_right_end(), ExponentialSum(st.frequencies, [1.0, 1.0]), v),
+    "phase_integral": lambda sd, st, v: phase_integral(1.0, v),
+    "evolve_free": lambda sd, st, v: evolve_free(st, v),
+    "sobolev_norm": lambda sd, st, v: sobolev_norm(st, v),
+    "moments_for_null": lambda sd, st, v: moments_for_null(st, sd, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+@pytest.mark.parametrize("call", _SCALAR_CALLS)
+def test_scalar_that_is_no_number_refused_before_any_gram(sd_const_128, monkeypatch, call, value):
+    # True was read as 1 by every one of these and "0.5" as 0.5 by the six
+    # horizons; None, and "0.5" as a time or theta, were bare TypeErrors
+    sd = sd_const_128
+    assert sd.sigma_at_right_end() == 1.0   # so True passed the sigma(ell) check
+    state = modal_state(sd, [1.0, 0.5])
+    formed = []
+    monkeypatch.setattr(bischro.dynamics, "_gram", lambda *args: formed.append(args))
+    with pytest.raises(ValueError, match=f"{value!r}"):
+        _SCALAR_CALLS[call](sd, state, value)
+    assert formed == []
