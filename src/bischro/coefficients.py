@@ -100,22 +100,22 @@ def _coefficient(spec, name, length):
         raise ProfileError(f"{name}: unknown coefficient keys {sorted(unknown)}")
     poly, samples = spec.get("poly"), spec.get("samples")
     if (poly is None) == (samples is None):
-        raise ProfileError("coefficient needs exactly one of poly= or samples=")
+        raise ProfileError(f"{name}: coefficient needs exactly one of poly= or samples=")
     key = "poly" if samples is None else "samples"
     entry = functools.partial(_number, name, f"{name}: {key} entries must be numbers, got a ")
     if poly is not None:
         if not _items(poly, lambda c: not isinstance(c, (list, tuple, np.ndarray)) and entry(c)):
-            raise ProfileError("poly must be a nonempty 1-d coefficient list")
+            raise ProfileError(f"{name}: poly must be a nonempty 1-d coefficient list")
         return functools.partial(np.polynomial.polynomial.polyval, c=np.asarray(poly, dtype=float))
     if not _items(samples, lambda p: _items(p, entry, 2) and len(p) == 2, 2):
-        raise ProfileError("samples must be a list of at least two (x, value) pairs")
+        raise ProfileError(f"{name}: samples must be a list of at least two (x, value) pairs")
     pts = np.asarray(samples, dtype=float)
     xs, vs = pts[:, 0], pts[:, 1]
     if np.any(np.diff(xs) <= 0):
-        raise ProfileError("sample abscissae must be strictly increasing")
+        raise ProfileError(f"{name}: sample abscissae must be strictly increasing")
     if xs[0] > 1e-12 * length or xs[-1] < length * (1 - 1e-12):
         raise ProfileError(
-            f"samples cover [{xs[0]:g}, {xs[-1]:g}] but must cover [0, {length:g}]"
+            f"{name}: samples cover [{xs[0]:g}, {xs[-1]:g}] but must cover [0, {length:g}]"
         )
     from scipy.interpolate import PchipInterpolator
     return PchipInterpolator(xs, vs, extrapolate=True)

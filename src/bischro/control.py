@@ -9,14 +9,20 @@ arithmetic it returns the moment route's weights, so the gap between the
 routes measures rounding only.  Both routes read the one cached Gram of
 the most recent (frequencies, horizon) from dynamics.gram, as does
 ExponentialSum.norm, so a moment/HUM pair at one horizon forms and
-conditions one Gram.  The HUM route steers exactly the modes of the
-state it is given.  moments_for_null and the HUM route refuse a
-steered mode whose trace lies below spectrum.TRACE_FLOOR.  Every
-control is verified by a forward solve that evolves the caller's state
-with the basis's own sigma(ell) and traces; the reported residual is
-never inferred from the linear algebra.  The solve's phase table is the
-same cached Gram, so the check tests the Gram solve and the map from
-state to moments, not the Gram's entries.
+conditions one Gram.  The routes call LAPACK directly, zhetrf/zhetrs
+and zpotrf/zpotrs with the arguments and workspace of
+sla.solve(assume_a="her") and cho_factor/cho_solve, so they keep those
+wrappers' bits without their cost per call; non-finite moments or
+coefficients are refused before any factorization, and a nonzero
+LAPACK info raises numpy.linalg.LinAlgError naming the kernel.  The
+HUM route steers exactly the modes of the state it is given.
+moments_for_null and the HUM route refuse a steered mode whose trace
+lies below spectrum.TRACE_FLOOR.  Every control is verified by a
+forward solve that evolves the caller's state with the basis's own
+sigma(ell) and traces; the reported residual is never inferred from the
+linear algebra.  The solve's phase table is the same cached Gram, so
+the check tests the Gram solve and the map from state to moments, not
+the Gram's entries.
 """
 
 from __future__ import annotations
@@ -27,9 +33,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import (ExponentialSum, _check_problem, evolve_controlled, gram, modal_state,
-                       sobolev_norm)
+from .dynamics import (ExponentialSum, _check_problem, _lapack_info, evolve_controlled, gram,
+                       modal_state, sobolev_norm)
 from .spectrum import TRACE_FLOOR
+
+_hetrf, _hetrf_lwork, _hetrs, _potrf, _potrs = sla.get_lapack_funcs(
+    ("hetrf", "hetrf_lwork", "hetrs", "potrf", "potrs"), dtype=complex)
 
 # a float64 policy, not a property of the problem: the Gram is invertible at every horizon
 CONDITION_CAP = 1e12
@@ -119,16 +128,22 @@ def synthesize_moment_control(moments, sd, horizon):
     """Minimum-norm exponential-sum control meeting the given moments.
 
     Solves G beta = m with the exponential Gram on (0, horizon); refuses
-    when the Gram condition exceeds CONDITION_CAP instead of returning a
-    garbage control.  The returned residual comes from a forward solve of
-    the initial state the moments encode.
+    non-finite moments, and a Gram condition above CONDITION_CAP instead
+    of returning a garbage control.  The returned residual comes from a
+    forward solve of the initial state the moments encode.
     """
     moments = np.asarray(moments, dtype=complex)
+    if not np.isfinite(moments).all():
+        raise ValueError("moments must be finite")
     N = sd.mode_count(len(moments))
     lam = sd.eigenvalues[:N]
     gs = gram(lam, horizon)
     _refuse_ill_conditioned(gs)
-    beta = sla.solve(gs.matrix, moments, assume_a="her")
+    # the queried lwork, not f2py's default N, runs the blocked path sla.solve runs
+    ldu, ipiv, info = _hetrf(gs.matrix, lower=0, lwork=int(_hetrf_lwork(N)[0].real))
+    _lapack_info("zhetrf", info)
+    beta, info = _hetrs(ldu, ipiv, moments, lower=0)
+    _lapack_info("zhetrs", info)
     state0 = modal_state(sd, -1j * sd.sigma_at_right_end() * sd.traces[:N] * moments)
     return _verified(state0, horizon, moments, beta, gs, "moment")
 
@@ -143,7 +158,8 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l):
     datum sum c_k phi_k; Lambda = sigma(ell) t_m t_n G[m, n] is the
     boundary-output energy form.  A sigma_l other than
     ``sd.sigma_at_right_end()``, an ``n_modes`` other than the state's
-    coefficient count, a state of another basis, and a steered mode
+    coefficient count, a state of another basis, non-finite coefficients
+    (of a ModalState built without modal_state), and a steered mode
     whose trace lies below spectrum.TRACE_FLOOR are refused before any
     Gram is formed, and a Gram above CONDITION_CAP before it is factored;
     the control is verified by forward solve of the original state.
@@ -153,11 +169,16 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l):
     if N != len(state0.coefficients):
         raise ValueError(f"mode count {N} differs from the state's "
                          f"{len(state0.coefficients)} coefficients")
+    if not np.isfinite(state0.coefficients).all():
+        raise ValueError("coefficients must be finite")
     traces = _steerable_traces(sd, N)
     gs = gram(sd.eigenvalues[:N], horizon)
     _refuse_ill_conditioned(gs)
     rhs = 1j * state0.coefficients
-    c = sla.cho_solve(sla.cho_factor(sigma_l * (np.outer(traces, traces) * gs.matrix)), rhs)
+    u, info = _potrf(sigma_l * (np.outer(traces, traces) * gs.matrix), lower=0, clean=0)
+    _lapack_info("zpotrf", info)
+    c, info = _potrs(u, rhs, lower=0)
+    _lapack_info("zpotrs", info)
     beta = c * traces
     # rhs = i a(0), so the implied moments are rhs / (sigma t_n)
     moments = rhs / (sigma_l * traces)

@@ -39,6 +39,8 @@ from .coefficients import _real
 from .operator import band_matvec
 from .spectrum import SpectralData
 
+_heevr, _heevr_lwork = sla.get_lapack_funcs(("heevr", "heevr_lwork"), dtype=complex)
+
 
 class ResamplingError(ValueError):
     """Initial data sampled too coarsely for the element grid."""
@@ -230,8 +232,24 @@ class GramSystem:
     @serial_blas
     def condition_estimate(self):
         # run on the first read only: a norm never pays for it
-        w = sla.eigvalsh(self.matrix)
+        w = _eigvalsh(self.matrix)
         return float(w[-1] / w[0]) if w[0] > 0 else np.inf
+
+
+def _lapack_info(kernel, info):
+    """Refuse a nonzero LAPACK ``info`` with a LinAlgError naming the kernel."""
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{kernel} failed (info {info})")
+
+
+def _eigvalsh(a):
+    """Ascending eigenvalues of the Hermitian ``a``, read from its lower
+    triangle: ``sla.eigvalsh(a)``'s own zheevr call, bit for bit."""
+    lwork, lrwork, liwork, _ = _heevr_lwork(len(a), lower=1)
+    w, _, _, _, info = _heevr(a, compute_v=0, lower=1, lwork=int(lwork.real),
+                              lrwork=int(lrwork), liwork=int(liwork))
+    _lapack_info("zheevr", info)
+    return w
 
 
 def gram(lambdas, horizon):
@@ -328,10 +346,13 @@ def _uniform_grid(ts, fs):
     if len(ts) < 3 or len(ts) % 2 == 0:
         raise ValueError("Filon-Simpson needs an odd number of samples >= 3")
     dt = ts[1] - ts[0]
-    # np.allclose(diff, dt, rtol=1e-9, atol=1e-12 |dt|) in one reduction;
-    # a NaN or infinite step makes the deviation NaN or inf, which refuses
+    # np.allclose(diff, dt, rtol=1e-9, atol=1e-12 |dt|) as max |fl(d - dt)|,
+    # taken at the extreme steps since fl(d - dt) is monotone in d; a NaN or
+    # infinite step makes the deviation NaN or inf, which refuses, and
+    # np.maximum, unlike max, keeps a NaN
     with np.errstate(invalid="ignore"):
-        deviation = np.abs(np.diff(ts) - dt).max()
+        d = np.diff(ts)
+        deviation = np.maximum(d.max() - dt, dt - d.min())
     if not deviation <= 1e-12 * abs(dt) + 1e-9 * abs(dt):
         raise ValueError("Filon-Simpson needs a uniform time grid")
     return ts, fs, dt
@@ -342,10 +363,14 @@ def _filon_moments(ts, fs, dt, omegas):
     already checked by _uniform_grid, for every omega of the gated range.
 
     The P panel anchors t0 + 2 dt p, p = q B + r with B = ceil(sqrt(P)),
-    take their phases from a (modes x B) table of exp(-i omega 2 dt r) and
-    a (modes x Q) table of exp(-i omega 2 dt B q).  Each strided sample
-    view, zero-padded to Q B and laid out B x Q, enters one product with
-    the first table, so no (modes x P) temporary is formed.
+    take their phases phi_p = exp(-i omega 2 dt p) from a (modes x B) table
+    of exp(-i omega 2 dt r) and a (modes x Q) table of exp(-i omega 2 dt B q).
+    The first and the middle sample of each panel, f_2p and f_2p+1, each
+    give one panel sum: a strided view, zero-padded to Q B and laid out
+    B x Q, enters one product with the first table, so no (modes x P)
+    temporary is formed.  The third sample needs no sum of its own: with
+    S the sum of the first samples,
+    sum_p phi_p f_2p+2 = exp(i omega 2 dt) (S - f_0 + phi_P f_2P).
     """
     c0, c1, c2 = _filon_weights(dt, omegas)
     panels = (len(ts) - 1) // 2
@@ -360,7 +385,9 @@ def _filon_moments(ts, fs, dt, omegas):
         padded[:panels] = view
         return np.sum(coarse * (fine @ padded.reshape(rows, block).T), axis=1)
 
-    total = c0 * panel_sum(fs[0:-2:2]) + c1 * panel_sum(fs[1:-1:2]) + c2 * panel_sum(fs[2::2])
+    first = panel_sum(fs[0:-2:2])
+    third = np.exp(1j * step) * (first - fs[0] + np.exp(-1j * step * panels) * fs[-1])
+    total = c0 * first + c1 * panel_sum(fs[1:-1:2]) + c2 * third
     return np.exp(-1j * omegas * ts[0]) * total
 
 

@@ -9,7 +9,9 @@ definite, and its extreme eigenvalues against the clamped-H^2 weights
 give computable two-sided observability constants at truncation level.
 The Gram itself, with its condition, is built and cached in one place,
 dynamics.gram, which the control solves and ExponentialSum.norm read
-too; the trace weighting is formed where it is used.
+too; the trace weighting is formed where it is used.  The constants and
+the Gram's condition come from one eigenvalue helper,
+dynamics._eigvalsh, the zheevr call of sla.eigvalsh without its wrapper.
 
 Also hosts the Beurling upper-density window estimator, which returns
 its window lengths and estimates as a ``{column name: array}`` dict like
@@ -22,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._blas import serial_blas
-from .dynamics import ExponentialSum, gram
+from .dynamics import ExponentialSum, _eigvalsh, gram
 
 
 def boundary_output(state, t):
@@ -66,7 +67,7 @@ def observability_constants(sd, horizon, n_modes):
     gs = gram(lam, horizon)
     scale = 1.0 / np.sqrt(lam)
     B = np.outer(tr, tr) * gs.matrix * np.outer(scale, scale)
-    w = sla.eigvalsh(B)
+    w = _eigvalsh(B)
     c_lo, c_hi = float(w[0]), float(w[-1])
     return ObservabilityReport(
         horizon=float(horizon), n_modes=N, c_lower=c_lo, c_upper=c_hi,

@@ -6,9 +6,10 @@ integrals use composite Gauss-Legendre panels sized to the fastest
 frequency, the controlled modal system is integrated by an adaptive
 high-order Runge-Kutta method, variable-coefficient spectra come
 from a Legendre-Galerkin discretization, and controls are judged on
-the exact clamped beam by its closed-form modal evolution.  The one exception,
-:func:`wrapper_post_eigh`, repeats the eigensolve's own arithmetic
-through scipy's wrappers, to pin its bits.
+the exact clamped beam by its closed-form modal evolution.  The two
+exceptions, :func:`wrapper_post_eigh` and :func:`wrapper_gram_solves`,
+repeat the eigensolve's and the Gram solves' own arithmetic through
+scipy's wrappers, to pin their bits.
 """
 
 import math
@@ -272,3 +273,24 @@ def wrapper_post_eigh(op, w, v, lb, sweeps=2, power_iterations=50):
         r = _sym_band_matvec(kb, vecs[:, i]) - lams[i] * _sym_band_matvec(mb, vecs[:, i])
         residuals[i] = np.sqrt(abs(r @ sla.cho_solve_banded((lb, True), r)))
     return lams, vecs, traces, residuals, lam_max
+
+
+def wrapper_gram_solves(G, lambdas, traces, sigma_l, moments, coefficients):
+    """The control and observability solves on the Gram ``G``, through scipy's wrappers.
+
+    Returns the moment route's weights (``sla.solve(assume_a="her")`` of
+    G beta = m for the ``moments``), the HUM route's weights c t
+    (``cho_factor``/``cho_solve`` of sigma t_m t_n G c = i a for the modal
+    ``coefficients`` a), the Gram's condition and the observability
+    constants, the extreme eigenvalues of the trace-weighted Gram scaled
+    by lambda^(-1/2) (each by ``sla.eigvalsh``).  These are the wrapper
+    calls the package's direct kernel calls must reproduce bit for bit.
+    """
+    beta = sla.solve(G, moments, assume_a="her")
+    lam_op = sigma_l * (np.outer(traces, traces) * G)
+    hum = sla.cho_solve(sla.cho_factor(lam_op), 1j * coefficients) * traces
+    w = sla.eigvalsh(G)
+    condition = float(w[-1] / w[0]) if w[0] > 0 else np.inf
+    scale = 1.0 / np.sqrt(lambdas)
+    c = sla.eigvalsh(np.outer(traces, traces) * G * np.outer(scale, scale))
+    return beta, hum, condition, (float(c[0]), float(c[-1]))

@@ -45,8 +45,8 @@ def test_negative_q_rejected():
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("1.0", "rho: expected number or dict, got str"),
-    ({"poly": [1.0], "knots": [0.0]}, "rho: unknown coefficient keys ['knots']"),
+    ("1.0", "expected number or dict, got str"),
+    ({"poly": [1.0], "knots": [0.0]}, "unknown coefficient keys ['knots']"),
     ({}, "coefficient needs exactly one of poly= or samples="),
     ({"poly": [1.0], "samples": [(0.0, 1.0), (1.0, 1.0)]},
      "coefficient needs exactly one of poly= or samples="),
@@ -66,7 +66,7 @@ def test_negative_q_rejected():
 def test_malformed_coefficient_spec_rejected(spec, message):
     with pytest.raises(ProfileError) as err:
         build_profile({"length": 1.0, "rho": spec, "sigma": 1.0, "q": 0.0})
-    assert str(err.value) == message
+    assert str(err.value) == f"rho: {message}"
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -136,7 +136,7 @@ def test_samples_may_be_a_k_by_2_array():
 
 
 def test_first_malformed_coefficient_is_reported_in_rho_sigma_q_order():
-    with pytest.raises(ProfileError, match="samples cover"):
+    with pytest.raises(ProfileError, match="^rho: samples cover"):
         build_profile({"length": 1.0, "rho": {"samples": [(0.0, 1.0), (0.5, 1.0)]},
                        "sigma": {"poly": []}, "q": 0.0})
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bischro.cli
+import bischro.control
 import bischro.spectrum
 from bischro import ConfigError, assemble, build_profile, parse_config
 from bischro.cli import EXIT_CONDITIONING, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, entry, main
@@ -310,6 +311,28 @@ def test_cli_observability_needs_two_trusted_modes(tmp_path, capsys, old, new, c
         row = (out / "observability.csv").read_text().splitlines()[2].split(",")
         assert row[1] == "2"
         assert float(row[5]) > 0
+
+
+@pytest.mark.parametrize("samples, message", [
+    ("[(0.0, 1.0), (0.5, 1.0)]", "samples cover [0, 0.5] but must cover [0, 1]"),
+    ("[(0.0, 1.0), (0.0, 2.0), (1.0, 1.0)]", "sample abscissae must be strictly increasing"),
+])
+def test_cli_sampled_coefficient_error_names_the_coefficient(tmp_path, capsys, samples, message):
+    cfg = _write(tmp_path, MINIMAL.replace("sigma_poly = [1.0]", f"sigma_samples = {samples}"))
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: sigma: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_gram_factorization_failure_exits_numerical(tmp_path, monkeypatch, capsys):
+    hetrf = bischro.control._hetrf
+    monkeypatch.setattr(bischro.control, "_hetrf",
+                        lambda *args, **kwargs: (*hetrf(*args, **kwargs)[:-1], 4))
+    cfg = _write(tmp_path, CONTROL_CFG)
+    out = tmp_path / "ctl"
+    assert main(["control", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "numerical error: zhetrf failed (info 4)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_observability_positivity_loss_exits_numerical(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import bischro.dynamics
 from bischro import (
     ConditioningError,
     ExponentialSum,
+    ModalState,
     assemble,
     constant_profile,
     evolve_controlled,
@@ -22,7 +24,9 @@ from bischro import (
     synthesize_moment_control,
 )
 
-from .oracles import exact_beam_residual, exponential_energy, modal_residual
+from bischro._blas import serial_blas
+
+from .oracles import exact_beam_residual, exponential_energy, modal_residual, wrapper_gram_solves
 from .test_dynamics import _direct_forward
 
 
@@ -292,19 +296,20 @@ def test_one_gram_eigensolve_per_horizon(sd_const_512, monkeypatch, cold_gram_ca
     N, T = 12, 0.37
     calls = []
     phases = []
-    eigvalsh = bischro.dynamics.sla.eigvalsh
+    heevr = bischro.dynamics._heevr
     phase = bischro.dynamics.phase_integral
 
     def counted(a, *args, **kwargs):
         calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+        return heevr(a, *args, **kwargs)
 
     def counted_phase(omega, horizon):
         phases.append(np.shape(omega))
         return phase(omega, horizon)
 
     cold_gram_cache()
-    monkeypatch.setattr(bischro.dynamics.sla, "eigvalsh", counted)
+    # the zheevr of dynamics._eigvalsh, which the condition and the constants call
+    monkeypatch.setattr(bischro.dynamics, "_heevr", counted)
     monkeypatch.setattr(bischro.dynamics, "phase_integral", counted_phase)
     # a cold norm forms the Gram but never reads its condition
     assert ExponentialSum(sd.eigenvalues[:N], np.ones(N)).norm(T) > 0
@@ -341,6 +346,79 @@ def test_pair_residuals_match_uncached_forward_table(sd_const_2048, rng, N, cold
         mom_state = modal_state(sd, -1j * sigma_l * sd.traces[:N] * mom.moments)
         assert mom.residual_final == _residual_from_full_table(mom_state, mom.waveform(), T)
         assert hum.residual_final == _residual_from_full_table(state, hum.waveform(), T)
+
+
+@pytest.mark.parametrize("N", [8, 12, 32, 51, 64, 65, 102])
+def test_direct_kernels_match_scipy_wrappers(sd_const_2048, rng, N, cold_gram_cache):
+    # 64 and 65 straddle zhetrf's block size; the oracle runs pinned to one
+    # BLAS thread, as the wrappers did inside the package
+    sd = sd_const_2048
+    sigma_l = sd.sigma_at_right_end()
+    lam, traces = sd.eigenvalues[:N], sd.traces[:N]
+    for T in (0.01, 0.5):
+        state = modal_state(sd, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        moments = moments_for_null(state, sd, sigma_l)
+        cold_gram_cache()
+        mom = synthesize_moment_control(moments, sd, T)
+        hum = synthesize_hum_control(state, sd, T, N, sigma_l)
+        obs = observability_constants(sd, T, N)
+        beta, hum_beta, condition, constants = serial_blas(wrapper_gram_solves)(
+            gram(lam, T).matrix, lam, traces, sigma_l, moments, state.coefficients)
+        assert np.array_equal(mom.beta, beta)
+        assert np.array_equal(hum.beta, hum_beta)
+        assert mom.gram_condition == hum.gram_condition == obs.gram_condition == condition
+        assert (obs.c_lower, obs.c_upper) == constants
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_moments_and_coefficients_refused(sd_const_128, bad):
+    sd = sd_const_128
+    moments = np.ones(4, dtype=complex)
+    moments[2] = bad
+    with pytest.raises(ValueError, match="^moments must be finite$"):
+        synthesize_moment_control(moments, sd, 0.5)
+    # modal_state refuses such coefficients; a ModalState built directly
+    # reaches the HUM route with them
+    coefficients = np.ones(4, dtype=complex)
+    coefficients[1] = bad
+    state = ModalState(coefficients=coefficients, basis=sd)
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        synthesize_hum_control(state, sd, 0.5, 4, sd.sigma_at_right_end())
+
+
+def _misreport(module, kernel, info):
+    """The LAPACK handle ``kernel`` of ``module`` returns ``info`` as its last item."""
+    def inject(monkeypatch):
+        real = getattr(module, kernel)
+        monkeypatch.setattr(module, kernel, lambda *args, **kwargs: (*real(*args, **kwargs)[:-1],
+                                                                     info))
+    return inject
+
+
+@pytest.mark.parametrize("route, inject, message", [
+    ("moment", _misreport(bischro.control, "_hetrf", 3), "zhetrf failed (info 3)"),
+    ("moment", _misreport(bischro.control, "_hetrs", -2), "zhetrs failed (info -2)"),
+    ("hum", _misreport(bischro.control, "_potrf", 2), "zpotrf failed (info 2)"),
+    ("hum", _misreport(bischro.control, "_potrs", -1), "zpotrs failed (info -1)"),
+    # the Gram's condition, read before either route solves
+    ("moment", _misreport(bischro.dynamics, "_heevr", 5), "zheevr failed (info 5)"),
+    ("observability", _misreport(bischro.dynamics, "_heevr", 5), "zheevr failed (info 5)"),
+], ids=["zhetrf", "zhetrs", "zpotrf", "zpotrs", "zheevr_condition", "zheevr_constants"])
+def test_lapack_info_refused_naming_the_kernel(sd_const_128, monkeypatch, cold_gram_cache,
+                                               route, inject, message):
+    sd = sd_const_128
+    sigma_l = sd.sigma_at_right_end()
+    state = modal_state(sd, np.ones(6))
+    calls = {
+        "moment": lambda: synthesize_moment_control(moments_for_null(state, sd, sigma_l), sd, 0.5),
+        "hum": lambda: synthesize_hum_control(state, sd, 0.5, 6, sigma_l),
+        "observability": lambda: observability_constants(sd, 0.5, 6),
+    }
+    cold_gram_cache()
+    inject(monkeypatch)
+    # a LinAlgError is a ValueError, which the CLI maps to its numerical exit
+    with pytest.raises(np.linalg.LinAlgError, match=rf"^{re.escape(message)}$"):
+        calls[route]()
 
 
 def _closed_form_norm(frequencies, weights, T):

@@ -335,6 +335,32 @@ def test_filon_series_exact_at_sampling_gate():
     assert filon(ts, fs, [omega])[0] == pytest.approx(exact, rel=1e-12)
 
 
+def _quadratic_moments_closed_form(a, b, omegas):
+    # integral_a^b (1.5 + 2t - 3t^2) e^{-i omega t} dt from the antiderivative
+    # -e^{-i omega t} (p / z + p' / z^2 + p'' / z^3), z = i omega
+    z = 1j * np.asarray(omegas)
+
+    def antiderivative(t):
+        p, dp, ddp = 1.5 + 2 * t - 3 * t**2, 2 - 6 * t, -6.0
+        return -np.exp(-z * t) * (p / z + dp / z**2 + ddp / z**3)
+
+    return antiderivative(b) - antiderivative(a)
+
+
+@pytest.mark.parametrize("panels", [1, 16, 15], ids=["one_panel", "square", "square_less_one"])
+def test_filon_even_sum_identity_at_panel_layout_edges(panels):
+    # the third sample of each panel enters through the even sum: one panel,
+    # a perfect square of them (the layout fills B x Q) and B Q - 1 (one
+    # padding zero); a quadratic is exact, so the moments are closed form
+    # on a grid that starts away from 0, at panel phases up to 0.6 rad
+    t0, T = 0.3, 0.5
+    ts = np.linspace(t0, t0 + T, 2 * panels + 1)
+    fs = 1.5 + 2.0 * ts - 3.0 * ts**2
+    omegas = np.array([0.5, 3.0, 0.6 / (2.0 * (ts[1] - ts[0]))])
+    exact = _quadratic_moments_closed_form(t0, t0 + T, omegas)
+    assert filon(ts, fs, omegas) == pytest.approx(exact, rel=1e-12)
+
+
 def test_filon_requires_odd_uniform_grid():
     with pytest.raises(ValueError, match="odd"):
         _uniform_grid(np.linspace(0, 1, 10), np.zeros(10))
@@ -514,6 +540,15 @@ def test_tabulated_control_shape_checked_before_coverage(sd_const_128):
     for ts, fs, message in cases:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             evolve_controlled(state, sd, 1.0, (ts, fs), T)
+
+
+@pytest.mark.parametrize("start, stop", [(0.01, 0.5), (-0.01, 0.5), (0.0, 0.49), (0.0, 0.51)])
+def test_tabulated_control_must_cover_the_horizon(sd_const_128, start, stop):
+    sd = sd_const_128
+    state = modal_state(sd, np.ones(2))
+    ts = np.linspace(start, stop, 2001)
+    with pytest.raises(ValueError, match=r"^tabulation must cover exactly \[0, horizon\]$"):
+        evolve_controlled(state, sd, sd.sigma_at_right_end(), (ts, np.ones_like(ts)), 0.5)
 
 
 @pytest.mark.parametrize("f", [(np.linspace(0.0, 0.5, 2001),), [1, 2, 3], None])
