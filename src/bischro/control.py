@@ -12,10 +12,11 @@ ExponentialSum.norm, so a moment/HUM pair at one horizon forms and
 conditions one Gram.  The routes call LAPACK directly, zhetrf/zhetrs
 and zpotrf/zpotrs with the arguments and workspace of
 sla.solve(assume_a="her") and cho_factor/cho_solve, so they keep those
-wrappers' bits without their cost per call; non-finite moments or
-coefficients are refused before any factorization, and a nonzero
-LAPACK info raises numpy.linalg.LinAlgError naming the kernel.  The
-HUM route steers exactly the modes of the state it is given.
+wrappers' bits without their cost per call; moments that are not a
+finite 1-d sequence are refused before any Gram is formed, and a
+nonzero LAPACK info raises numpy.linalg.LinAlgError naming the kernel.
+A state is checked once, by ModalState itself.  The HUM route steers
+exactly the modes of the state it is given.
 moments_for_null and the HUM route refuse a steered mode whose trace
 lies below spectrum.TRACE_FLOOR.  Every control is verified by a
 forward solve that evolves the caller's state with the basis's own
@@ -77,18 +78,12 @@ def moments_for_null(state0, sd, sigma_l):
     spectrum.TRACE_FLOOR (which the boundary cannot steer) are refused.
     """
     _check_problem(state0, sd, sigma_l)
-    traces = _steerable_traces(sd, len(state0.coefficients))
-    return 1j * state0.coefficients / (sigma_l * traces)
-
-
-def _steerable_traces(sd, n):
-    """The first ``n`` traces, refused if any lies below spectrum.TRACE_FLOOR."""
-    traces = sd.traces[:n]
+    traces = sd.traces[: len(state0.coefficients)]
     weak = np.flatnonzero(np.abs(traces) < TRACE_FLOOR) + 1
     if len(weak):
         raise ValueError(f"modes {weak.tolist()} have boundary traces below "
                          f"{TRACE_FLOOR:g} and cannot be steered from the boundary")
-    return traces
+    return 1j * state0.coefficients / (sigma_l * traces)
 
 
 def _verified(state0, horizon, moments, beta, gs, method):
@@ -128,11 +123,14 @@ def synthesize_moment_control(moments, sd, horizon):
     """Minimum-norm exponential-sum control meeting the given moments.
 
     Solves G beta = m with the exponential Gram on (0, horizon); refuses
-    non-finite moments, and a Gram condition above CONDITION_CAP instead
-    of returning a garbage control.  The returned residual comes from a
-    forward solve of the initial state the moments encode.
+    moments that are not a finite 1-d sequence before any Gram is formed,
+    and a Gram condition above CONDITION_CAP instead of returning a
+    garbage control.  The returned residual comes from a forward solve
+    of the initial state the moments encode.
     """
     moments = np.asarray(moments, dtype=complex)
+    if moments.ndim != 1:
+        raise ValueError("moments must be a 1-d sequence")
     if not np.isfinite(moments).all():
         raise ValueError("moments must be finite")
     N = sd.mode_count(len(moments))
@@ -156,30 +154,22 @@ def synthesize_hum_control(state0, sd, horizon, n_modes, sigma_l):
     Hermitian positive definite operator and emits f(t) = sum_k c_k t_k
     exp(i lambda_k t), the boundary output of the free solution with
     datum sum c_k phi_k; Lambda = sigma(ell) t_m t_n G[m, n] is the
-    boundary-output energy form.  A sigma_l other than
-    ``sd.sigma_at_right_end()``, an ``n_modes`` other than the state's
-    coefficient count, a state of another basis, non-finite coefficients
-    (of a ModalState built without modal_state), and a steered mode
-    whose trace lies below spectrum.TRACE_FLOOR are refused before any
-    Gram is formed, and a Gram above CONDITION_CAP before it is factored;
-    the control is verified by forward solve of the original state.
+    boundary-output energy form.  What moments_for_null refuses, and an
+    ``n_modes`` other than the state's coefficient count, are refused
+    before any Gram is formed, and a Gram above CONDITION_CAP before it
+    is factored; the control is verified by forward solve of the
+    original state.
     """
-    _check_problem(state0, sd, sigma_l)
+    moments = moments_for_null(state0, sd, sigma_l)
     N = sd.mode_count(n_modes)
     if N != len(state0.coefficients):
         raise ValueError(f"mode count {N} differs from the state's "
                          f"{len(state0.coefficients)} coefficients")
-    if not np.isfinite(state0.coefficients).all():
-        raise ValueError("coefficients must be finite")
-    traces = _steerable_traces(sd, N)
+    traces = sd.traces[:N]
     gs = gram(sd.eigenvalues[:N], horizon)
     _refuse_ill_conditioned(gs)
-    rhs = 1j * state0.coefficients
     u, info = _potrf(sigma_l * (np.outer(traces, traces) * gs.matrix), lower=0, clean=0)
     _lapack_info("zpotrf", info)
-    c, info = _potrs(u, rhs, lower=0)
+    c, info = _potrs(u, 1j * state0.coefficients, lower=0)
     _lapack_info("zpotrs", info)
-    beta = c * traces
-    # rhs = i a(0), so the implied moments are rhs / (sigma t_n)
-    moments = rhs / (sigma_l * traces)
-    return _verified(state0, horizon, moments, beta, gs, "hum")
+    return _verified(state0, horizon, moments, c * traces, gs, "hum")

@@ -58,20 +58,25 @@ SERIES_TERMS = 24
 
 @dataclass(frozen=True)
 class ModalState:
-    """Complex modal coefficients (a 1-d array) of a solution at one time instant."""
+    """Complex modal coefficients of a solution at one time instant.
+
+    The state keeps its own complex 1-d copy of ``coefficients``; a count
+    outside [1, ``basis.trusted_count``] and non-finite coefficients are
+    refused.
+    """
 
     coefficients: np.ndarray
     basis: SpectralData = field(repr=False)
     projection_residual: float | None = None
 
     def __post_init__(self):
-        if np.ndim(self.coefficients) != 1:
+        c = np.array(self.coefficients, dtype=complex)
+        if c.ndim != 1:
             raise ValueError("coefficients must be a 1-d sequence")
-        if len(self.coefficients) > self.basis.trusted_count:
-            raise ValueError(
-                f"{len(self.coefficients)} coefficients exceed the "
-                f"{self.basis.trusted_count} trusted modes of the basis"
-            )
+        self.basis.mode_count(len(c))
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "coefficients", c)
 
     @property
     def frequencies(self):
@@ -79,11 +84,8 @@ class ModalState:
 
 
 def modal_state(sd, coefficients):
-    """State with the given coefficients against the modes of ``sd``;
-    non-finite coefficients are refused."""
-    coefficients = np.asarray(coefficients, dtype=complex).copy()
-    if not np.isfinite(coefficients).all():
-        raise ValueError("coefficients must be finite")
+    """State with the given coefficients against the modes of ``sd``,
+    checked by ModalState."""
     return ModalState(coefficients=coefficients, basis=sd)
 
 
@@ -422,8 +424,7 @@ def evolve_controlled(state0, sd, sigma_l, f, horizon):
         ts, fs, dt = _uniform_grid(*f)
         if abs(ts[0]) > 1e-12 * horizon or abs(ts[-1] - horizon) > 1e-9 * horizon:
             raise ValueError("tabulation must cover exactly [0, horizon]")
-        lam_max = float(lam.max()) if len(lam) else 0.0
-        required = int(np.ceil(SAMPLES_PER_PERIOD * lam_max * horizon / (2 * np.pi))) + 1
+        required = int(np.ceil(SAMPLES_PER_PERIOD * lam.max() * horizon / (2 * np.pi))) + 1
         if required % 2 == 0:
             required += 1
         if len(ts) < required:

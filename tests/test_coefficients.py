@@ -39,6 +39,22 @@ def test_negative_length_rejected():
         build_profile({"length": -1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0})
 
 
+@pytest.mark.parametrize("spec, message", [
+    ([("length", 1.0)], "profile spec must be a dict"),
+    ({"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0, "kappa": 1.0},
+     "unknown profile keys ['kappa']"),
+    ({"length": 1.0, "rho": 1.0}, "profile spec missing keys ['q', 'sigma']"),
+    ({"length": 0.0, "rho": 1.0, "sigma": 1.0, "q": 0.0},
+     "interval length must be positive, got 0"),
+    ({"length": -1.0, "rho": 1.0, "sigma": 1.0, "q": 0.0},
+     "interval length must be positive, got -1"),
+])
+def test_malformed_profile_spec_rejected(spec, message):
+    with pytest.raises(ProfileError) as err:
+        build_profile(spec)
+    assert str(err.value) == message
+
+
 def test_negative_q_rejected():
     with pytest.raises(ProfileError, match="q"):
         build_profile({"length": 1.0, "rho": 1.0, "sigma": 1.0, "q": {"poly": [0.0, -0.5]}})

@@ -431,6 +431,56 @@ def test_cli_rejects_bools_and_nonfinite_numbers(tmp_path, capsys, old, new):
     assert not (tmp_path / "o").exists()
 
 
+def _without(text, line):
+    assert f"\n{line}\n" in text
+    return text.replace(f"\n{line}\n", "\n", 1)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("spectrum", MINIMAL.replace("modes = 6", "modes = 6\nbogus"),
+     "line 6: expected 'key = value', got 'bogus'"),
+    ("spectrum", "modes = 6\n" + MINIMAL, "line 1: key outside any [section]"),
+    ("spectrum", MINIMAL.replace("modes = 6", "modes = 6\nmodes = 6"),
+     "line 6: duplicate key 'modes'"),
+    ("spectrum", MINIMAL + "[extra]\nfoo = 1\n", "line 12: unknown section [extra]"),
+    ("spectrum", _without(MINIMAL, "modes = 6"), "missing required experiment key 'modes'"),
+    ("control", CONTROL_CFG + "[initial]\ncoefficients = [(1, 1.0, 0.0)]\n",
+     "config may contain at most one initial section"),
+    ("spectrum", _without(MINIMAL, "q_poly = [0.0]"),
+     "profile needs exactly one of q_poly or q_samples"),
+    ("spectrum",
+     MINIMAL.replace("rho_poly = [1.0]", "rho_poly = [1.0]\nrho_samples = [(0, 1), (1, 1)]"),
+     "line 9: profile needs exactly one of rho_poly or rho_samples"),
+    ("control", MINIMAL, "config kind='spectrum' does not match subcommand 'control'"),
+    ("control", _without(CONTROL_CFG, "horizons = [0.5]"), "kind=control requires a horizons list"),
+    ("control", CONTROL_CFG.partition("[initial]")[0],
+     "kind=control requires an [initial] section"),
+    ("control", CONTROL_CFG.replace("horizons = [0.5]", "horizons = [0.5, 1.0]"),
+     "line 6: kind=control needs exactly one horizon, got 2"),
+    ("spectrum", MINIMAL.replace("modes = 6", "modes = 200"),
+     "line 5: modes must be at most 126, the constrained dimension of 64 elements, got 200"),
+], ids=["not_key_value", "outside_section", "duplicate_key", "unknown_section",
+        "missing_required", "two_initial", "no_coefficient", "two_coefficients",
+        "kind_mismatch", "no_horizons", "no_initial", "two_horizons", "too_many_modes"])
+def test_cli_config_grammar_refusals(tmp_path, capsys, command, text, message):
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_residual_gate_exits_numerical(tmp_path, monkeypatch, capsys):
+    # with no tolerance and no floor every honest residual exceeds the gate
+    monkeypatch.setattr(bischro.spectrum, "RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(bischro.spectrum, "RESIDUAL_FLOOR_FACTOR", 0.0)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", _write(tmp_path, MINIMAL),
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    assert re.fullmatch(r"numerical error: mode 1 residual \S+ exceeds gate 0\.000e\+00\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_control_run(tmp_path, capsys):
     cfg = _write(tmp_path, CONTROL_CFG)
     out = tmp_path / "ctl"

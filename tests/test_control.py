@@ -377,13 +377,43 @@ def test_nonfinite_moments_and_coefficients_refused(sd_const_128, bad):
     moments[2] = bad
     with pytest.raises(ValueError, match="^moments must be finite$"):
         synthesize_moment_control(moments, sd, 0.5)
-    # modal_state refuses such coefficients; a ModalState built directly
-    # reaches the HUM route with them
-    coefficients = np.ones(4, dtype=complex)
-    coefficients[1] = bad
-    state = ModalState(coefficients=coefficients, basis=sd)
+    # no state, however built, can carry such coefficients to the HUM route
     with pytest.raises(ValueError, match="^coefficients must be finite$"):
-        synthesize_hum_control(state, sd, 0.5, 4, sd.sigma_at_right_end())
+        ModalState(coefficients=[1, bad, 1, 1], basis=sd)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.ones((4, 2)), np.ones((4, 4))],
+                         ids=["scalar", "4x2", "4x4"])
+def test_non_vector_moments_refused_before_any_gram(sd_const_128, monkeypatch, bad):
+    # unchecked, a scalar failed on len(), a 4 x 2 array was factored and
+    # solved as two right-hand sides before a broadcast error, and a 4 x 4
+    # array was refused as a state only after the factorization
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram formed for moments that are not a 1-d sequence")
+
+    monkeypatch.setattr(bischro.control, "gram", no_gram)
+    with pytest.raises(ValueError, match="^moments must be a 1-d sequence$"):
+        synthesize_moment_control(bad, sd_const_128, 0.5)
+
+
+@pytest.mark.parametrize("held", [[1, 2, -1, 3], np.array([1, 2, -1, 3])],
+                         ids=["list", "int_array"])
+def test_directly_built_state_runs_both_routes(sd_const_128, held):
+    # a ModalState holding a list failed with a bare TypeError in
+    # moments_for_null and the HUM route
+    sd = sd_const_128
+    sigma_l = sd.sigma_at_right_end()
+    direct = ModalState(coefficients=held, basis=sd)
+    reference = modal_state(sd, np.array([1, 2, -1, 3], dtype=complex))
+    m = moments_for_null(direct, sd, sigma_l)
+    assert np.array_equal(m, moments_for_null(reference, sd, sigma_l))
+    routes = (lambda s: synthesize_moment_control(moments_for_null(s, sd, sigma_l), sd, 0.5),
+              lambda s: synthesize_hum_control(s, sd, 0.5, 4, sigma_l))
+    for synthesize in routes:
+        got, want = synthesize(direct), synthesize(reference)
+        assert np.array_equal(got.beta, want.beta)
+        assert np.array_equal(got.moments, want.moments)
+        assert got.residual_final == want.residual_final
 
 
 def _misreport(module, kernel, info):

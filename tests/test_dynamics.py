@@ -11,6 +11,7 @@ import bischro.dynamics
 from bischro import (
     CoarseSamplingError,
     ExponentialSum,
+    ModalState,
     ResamplingError,
     assemble,
     evolve_controlled,
@@ -148,10 +149,11 @@ def test_project_refuses_nonfinite_data(sd_const_128):
     (np.zeros((2, 254)), ValueError, "y0 must be a callable on [0, ell], an (xs, values) tuple "
                                      "of samples or a 1-d numeric dof vector, got float64 of "
                                      "shape (2, 254)"),
+    (np.zeros(5), ValueError, "dof vector of length 5; expected 254 (constrained) or 258 (full)"),
 ])
 def test_project_refuses_malformed_data(sd_const_128, y0, error, message):
     # an IndexError, "samples must cover the whole interval", an IndexError
-    # and an f2py error from dsbmv
+    # and an f2py error from dsbmv; the last is DiscreteOperator.expand's own
     assert sd_const_128.op.n_dof == 254
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         project_initial(sd_const_128, y0)
@@ -236,24 +238,71 @@ def test_sobolev_norm_refuses_nonfinite_theta(sd_const_128, theta):
         sobolev_norm(state, theta)
 
 
+def _direct(sd, coefficients):
+    return ModalState(coefficients=coefficients, basis=sd)
+
+
+# the two ways to make a state share one set of rules
+BUILDERS = pytest.mark.parametrize("build", [modal_state, _direct], ids=["modal_state", "direct"])
+
+
+def _over_builders(argname, values, ids):
+    """Parametrize ``build`` and ``argname`` over both ways to make a state;
+    the modal_state cases keep the plain ids."""
+    return pytest.mark.parametrize(
+        f"build, {argname}", [(modal_state, v) for v in values] + [(_direct, v) for v in values],
+        ids=ids + [f"direct-{i}" for i in ids])
+
+
 def test_modal_state_rejects_untrusted_length(sd_const_128):
-    with pytest.raises(ValueError, match="trusted"):
-        modal_state(sd_const_128, np.ones(sd_const_128.trusted_count + 1))
+    for build in (modal_state, _direct):
+        with pytest.raises(ValueError, match="trusted"):
+            build(sd_const_128, np.ones(sd_const_128.trusted_count + 1))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_modal_state_refuses_nonfinite_coefficients(sd_const_128, bad):
+@BUILDERS
+@pytest.mark.parametrize("count", [0, 13])
+def test_modal_state_count_follows_the_mode_count_rule(sd_const_128, build, count):
+    # unchecked, evolve_free, evolve_controlled and sobolev_norm accepted an
+    # empty state, and only the control routes refused it
+    with pytest.raises(ValueError,
+                       match=rf"^mode count {count} must lie in \[1, trusted_count=12\]$"):
+        build(sd_const_128, np.ones(count))
+
+
+@_over_builders("bad", [np.nan, np.inf, complex(0.0, np.nan)], ["nan", "inf", "nanj"])
+def test_modal_state_refuses_nonfinite_coefficients(sd_const_128, build, bad):
     # unchecked, the state evolves and measures as NaN with no error
     with pytest.raises(ValueError, match="^coefficients must be finite$"):
-        modal_state(sd_const_128, [bad, 1.0])
+        build(sd_const_128, [bad, 1.0])
 
 
-@pytest.mark.parametrize("bad", [[[1.0, 2.0]], 5.0])
-def test_modal_state_refuses_non_vector_coefficients(sd_const_128, bad):
+@_over_builders("bad", [[[1.0, 2.0]], 5.0], ["bad0", "5.0"])
+def test_modal_state_refuses_non_vector_coefficients(sd_const_128, build, bad):
     # unchecked, [[1, 2]] made a one-frequency state whose evolution, norm and
     # null moments came back with the wrong shapes, and a scalar failed on len()
     with pytest.raises(ValueError, match="^coefficients must be a 1-d sequence$"):
-        modal_state(sd_const_128, bad)
+        build(sd_const_128, bad)
+
+
+@BUILDERS
+def test_modal_state_keeps_its_own_complex_copy(sd_const_128, build):
+    held = np.array([1.0, 2.0, 3.0])
+    state = build(sd_const_128, held)
+    held[0] = 7.0
+    assert state.coefficients.dtype == complex
+    assert np.array_equal(state.coefficients, [1.0, 2.0, 3.0])
+
+
+def test_overflowing_evolution_refused(sd_const_128):
+    # unchecked, the evolved state came back holding inf and NaN; numpy's
+    # overflow warning, an error under this suite's filter, is silenced to
+    # reach the state's own refusal
+    state = modal_state(sd_const_128, [1e308, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^coefficients must be finite$"):
+        evolve_controlled(state, sd_const_128, sd_const_128.sigma_at_right_end(),
+                          ExponentialSum(state.frequencies, [1e308, 1e308]), 0.5)
 
 
 # ---- phase integrals and Filon quadrature ---------------------------------

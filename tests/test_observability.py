@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 
@@ -293,6 +294,22 @@ def test_beurling_full_span_window_holds_every_point():
 def test_beurling_refuses_nonfinite_input(sequence, r_grid):
     # unchecked, these read 0.0, 2.0, nan and 0.0 without an error
     with pytest.raises(ValueError, match="finite"):
+        beurling_density(sequence, r_grid)
+
+
+@pytest.mark.parametrize("sequence, r_grid, message", [
+    ([1.0], None, "sequence must contain at least two points"),
+    ([[0.0, 1.0], [2.0, 3.0]], None, "sequence must contain at least two points"),
+    ([0.0, np.nan], None, "sequence must be finite"),
+    ([0.0, 1.0, 1.0], None, "sequence must be strictly increasing"),
+    ([1.0, 0.0], None, "sequence must be strictly increasing"),
+    ([0.0, 1.0], [[0.5]], "window lengths must be a 1-d array of finite numbers"),
+    ([0.0, 1.0], [np.inf], "window lengths must be a 1-d array of finite numbers"),
+    ([0.0, 1.0], [0.5, 0.0], "window lengths must be positive"),
+    ([0.0, 1.0], [-0.5], "window lengths must be positive"),
+])
+def test_beurling_refusals(sequence, r_grid, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         beurling_density(sequence, r_grid)
 
 

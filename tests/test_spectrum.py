@@ -392,6 +392,15 @@ def test_lambda_max_breakdown_raises(monkeypatch):
         solve_spectrum(assemble(constant_profile(), 32), 4)
 
 
+def test_residual_gate_raises_naming_the_mode(monkeypatch):
+    # with no tolerance and no floor every honest residual exceeds the gate
+    monkeypatch.setattr(bischro.spectrum, "RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(bischro.spectrum, "RESIDUAL_FLOOR_FACTOR", 0.0)
+    with pytest.raises(NumericalError,
+                       match=r"^mode 1 residual \d\.\d{3}e[+-]\d+ exceeds gate 0\.000e\+00$"):
+        solve_spectrum(assemble(constant_profile(), 32), 4)
+
+
 SAMPLED_SIGMA_SPEC = {
     "length": 1.0, "rho": {"poly": [1.0, 0.5]}, "q": {"poly": [0.0, 0.4, -0.4]},
     "sigma": {"samples": [(0.0, 1.0), (0.25, 1.2), (0.5, 1.1), (0.75, 1.3), (1.0, 1.25)]},
